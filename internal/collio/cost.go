@@ -41,13 +41,11 @@ type CostResult struct {
 // the metadata exchange, as in ROMIO's flattened offset/length lists.
 const extentListEntryBytes = 16
 
-// costObs carries Cost's rank-level observability wiring: per-rank MPI
-// traffic counters (the engine only sees nodes) and per-domain shuffle
-// counters, pre-resolved so the per-round loop pays one atomic add per
-// update. Nil means disabled.
+// costObs carries the byte engine's rank-level observability wiring:
+// per-rank MPI traffic counters (the engine only sees nodes) and
+// per-domain shuffle counters, pre-resolved so the per-round loop pays
+// one atomic add per update. Nil means disabled.
 type costObs struct {
-	o     *obs.Observer
-	pid   int
 	sentB []*obs.Counter // bytes sent, by world rank
 	sentM []*obs.Counter // messages sent, by world rank
 	recvB []*obs.Counter // bytes received, by world rank
@@ -60,7 +58,7 @@ func newCostObs(ctx *Context, plan *Plan, op Op) *costObs {
 	if ctx.Obs == nil {
 		return nil
 	}
-	co := &costObs{o: ctx.Obs, pid: ctx.Obs.Tracer().PID(plan.Strategy)}
+	co := &costObs{}
 	base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
 	n := ctx.Topo.Size()
 	co.sentB = make([]*obs.Counter, n)
@@ -95,30 +93,41 @@ func (co *costObs) transfer(src, dst int, bytes int64) {
 	co.recvM[dst].Inc()
 }
 
-// Cost prices plan against the context's machine and storage models
-// without moving any data. The same plan and requests always produce the
-// same result.
-func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
-	if err := ctx.Validate(); err != nil {
-		return nil, err
+// shuffle accounts one shuffle message of the domain at index dom
+// between ranks src and dst.
+func (co *costObs) shuffle(dom, src, dst int, bytes int64) {
+	if co == nil {
+		return
 	}
-	st := sim.StorageParams{
+	co.transfer(src, dst, bytes)
+	co.shuf[dom].Add(bytes)
+}
+
+// newCostEngine builds the engine that prices one operation on plan —
+// storage model, observer, aggregator placements and, when ctx.Timeline
+// is set, the timeline with its plan-time buffer gauges — and returns
+// it with the trace process of the plan's strategy. Every pricing entry
+// point, on either engine, starts here.
+func newCostEngine(ctx *Context, plan *Plan, op Op, opt sim.Options) (*sim.Engine, int, error) {
+	if err := ctx.Validate(); err != nil {
+		return nil, 0, err
+	}
+	eng, err := sim.NewEngine(ctx.Machine, sim.StorageParams{
 		Targets:         ctx.FS.Targets,
 		TargetBW:        ctx.FS.TargetBW,
 		ReqOverhead:     ctx.FS.ReqOverhead,
 		NoncontigFactor: ctx.FS.NoncontigFactor,
 		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	}, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	co := newCostObs(ctx, plan, op)
-	if co != nil {
-		eng.SetObserver(ctx.Obs, co.pid,
+	pid := 0
+	if ctx.Obs != nil {
+		pid = ctx.Obs.Tracer().PID(plan.Strategy)
+		eng.SetObserver(ctx.Obs, pid,
 			obs.L("strategy", plan.Strategy), obs.L("op", op.String()))
 	}
-
 	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
 	for i, d := range plan.Domains {
 		placements[i] = sim.AggregatorPlacement{
@@ -130,29 +139,63 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 	eng.SetAggregators(placements)
 	tlAttach(ctx, eng, plan, op)
 	tlBufferGauges(ctx, plan.Domains, 0)
+	return eng, pid, nil
+}
 
-	// Metadata exchange: within each group, every member rank ships its
-	// flattened offset/length list to each of the group's aggregators.
-	// The baseline has one group spanning all ranks, so this is the
-	// global request exchange of classic two-phase I/O; the
-	// memory-conscious strategy confines it to each group.
-	extCount := make(map[int]int, len(reqs))
-	for _, r := range reqs {
-		n := len(r.Extents)
-		if !pfs.IsNormalized(r.Extents) {
-			n = len(pfs.NormalizeExtents(r.Extents))
-		}
-		extCount[r.Rank] = n
+// costResult assembles the outcome of a priced operation once eng has
+// run all of its data rounds: the run's trace span on process pid (when
+// observed), the engine totals and the plan-side accounting. suffix
+// tags the span name.
+func costResult(ctx *Context, plan *Plan, op Op, opt sim.Options, eng *sim.Engine, pid, rounds int, suffix string) *CostResult {
+	userBytes := plan.TotalBytes()
+	if ctx.Obs != nil {
+		span := ctx.Obs.Tracer().Begin(pid, sim.TIDTimeline,
+			plan.Strategy+" "+op.String()+suffix, 0,
+			obs.A("groups", strconv.Itoa(plan.Groups)),
+			obs.A("domains", strconv.Itoa(len(plan.Domains))),
+			obs.A("rounds", strconv.Itoa(rounds)),
+			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
+		span.End(eng.Elapsed())
 	}
-	aggsByGroup := make(map[int][]int)
+	res := &CostResult{
+		Strategy:    plan.Strategy,
+		Op:          op,
+		UserBytes:   userBytes,
+		Seconds:     eng.Elapsed(),
+		Bandwidth:   eng.Bandwidth(userBytes),
+		Totals:      eng.Totals(),
+		Aggregators: len(plan.Aggregators()),
+		Domains:     len(plan.Domains),
+		Groups:      plan.Groups,
+		MaxRounds:   rounds,
+	}
+	buffers := make([]float64, 0, len(plan.Domains))
 	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+		buffers = append(buffers, float64(d.BufferBytes))
+		if d.PagedSeverity > 0 {
+			res.PagedAggregators++
+		}
 	}
+	res.BufferSummary = stats.Summarize(buffers)
+	if opt.Trace {
+		res.Trace = eng.Trace()
+	}
+	return res
+}
+
+// metaRound is the byte engine's metadata exchange: within each group,
+// every member rank ships its flattened offset/length list to each of
+// the group's aggregators, one message per (rank, aggregator) pair. The
+// baseline has one group spanning all ranks, so this is the global
+// request exchange of classic two-phase I/O; the memory-conscious
+// strategy confines it to each group.
+func metaRound(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) sim.Round {
+	listBytes, aggsByGroup := metaInputs(plan, reqs)
 	meta := sim.Round{Kind: sim.RoundMetadata}
 	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
+		aggs := aggsByGroup[g]
 		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
+			bytes := listBytes[r]
 			if bytes == 0 {
 				continue
 			}
@@ -166,48 +209,37 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 			}
 		}
 	}
-	if len(meta.Messages) > 0 {
+	return meta
+}
+
+// Cost prices plan against the context's machine and storage models
+// without moving any data. The same plan and requests always produce the
+// same result.
+func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
+	eng, pid, err := newCostEngine(ctx, plan, op, opt)
+	if err != nil {
+		return nil, err
+	}
+	co := newCostObs(ctx, plan, op)
+	if meta := metaRound(ctx, plan, reqs, co); len(meta.Messages) > 0 {
 		eng.RunRound(meta)
 	}
 
-	// Per-domain, per-rank contribution bytes (distributed evenly over the
-	// domain's rounds — the shuffle volume is exact, the per-round split
-	// is the even approximation). One merge-walk per rank against the
-	// domain index keeps this linear in the total extent count.
-	type contrib struct {
-		rank  int
-		node  int
-		bytes int64
-	}
-	domainContribs := make([][]contrib, len(plan.Domains))
-	buckets := make([][]pfs.Extent, len(plan.Domains))
+	// Per-domain, per-rank contribution bytes, distributed evenly over the
+	// domain's rounds (the shuffle volume is exact, the per-round split
+	// is the even approximation).
+	contribs := domainContribs(ctx, plan.Domains, reqs)
 	maxRounds := 0
-	for i, d := range plan.Domains {
-		buckets[i] = d.Extents
-		if rd := d.Rounds(); rd > maxRounds {
-			maxRounds = rd
-		}
-	}
-	if len(plan.Domains) > 0 {
-		index := NewExtentIndex(buckets)
-		var overlaps []int64 // one scratch allocation for all requests
-		for _, r := range reqs {
-			if len(r.Extents) == 0 {
-				continue
-			}
-			node := ctx.Topo.NodeOf(r.Rank)
-			overlaps = index.OverlapBytesInto(overlaps, r.Extents)
-			for i, b := range overlaps {
-				if b > 0 {
-					domainContribs[i] = append(domainContribs[i], contrib{rank: r.Rank, node: node, bytes: b})
-				}
-			}
-		}
+	for _, d := range plan.Domains {
+		maxRounds = max(maxRounds, d.Rounds())
 	}
 
 	// The engine does not retain a Round's slices past RunRound, so one
-	// Round's backing arrays are recycled across the whole loop.
+	// Round's backing arrays, the slice scratch and the stripe mapper are
+	// recycled across the whole loop.
 	var round sim.Round
+	var slice []pfs.Extent
+	mapper := ctx.FS.NewMapper()
 	for k := 0; k < maxRounds; k++ {
 		round.Messages = round.Messages[:0]
 		round.IOOps = round.IOOps[:0]
@@ -217,23 +249,17 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 				continue
 			}
 			// Shuffle phase: contributions to/from the aggregator.
-			for _, c := range domainContribs[i] {
-				per := c.bytes / int64(rounds)
-				if int64(k) < c.bytes%int64(rounds) {
-					per++
-				}
+			for _, c := range contribs[i] {
+				per := evenShare(c.bytes, k, rounds)
 				if per == 0 {
 					continue
 				}
 				m := sim.Message{SrcNode: c.node, DstNode: d.AggNode, Bytes: per}
 				if op == Read {
 					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-					co.transfer(d.Aggregator, c.rank, per)
+					co.shuffle(i, d.Aggregator, c.rank, per)
 				} else {
-					co.transfer(c.rank, d.Aggregator, per)
-				}
-				if co != nil {
-					co.shuf[i].Add(per)
+					co.shuffle(i, c.rank, d.Aggregator, per)
 				}
 				round.Messages = append(round.Messages, m)
 			}
@@ -244,8 +270,8 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 			// domains would hit the same storage target in every round —
 			// an artificial convoy the global-round pricing would
 			// otherwise create.
-			slice := pfs.SliceData(d.Extents, int64((k+i)%rounds)*d.BufferBytes, d.BufferBytes)
-			for _, acc := range ctx.FS.MapExtents(slice) {
+			slice = pfs.SliceDataAppend(slice[:0], d.Extents, int64((k+i)%rounds)*d.BufferBytes, d.BufferBytes)
+			for _, acc := range mapper.Map(slice) {
 				round.IOOps = append(round.IOOps, sim.IOOp{
 					Target:     acc.Target,
 					Node:       d.AggNode,
@@ -258,41 +284,7 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 		}
 		eng.RunRound(round)
 	}
-
-	userBytes := plan.TotalBytes()
-	if co != nil {
-		span := ctx.Obs.Tracer().Begin(co.pid, sim.TIDTimeline,
-			plan.Strategy+" "+op.String(), 0,
-			obs.A("groups", strconv.Itoa(plan.Groups)),
-			obs.A("domains", strconv.Itoa(len(plan.Domains))),
-			obs.A("rounds", strconv.Itoa(maxRounds)),
-			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
-		span.End(eng.Elapsed())
-	}
-	res := &CostResult{
-		Strategy:  plan.Strategy,
-		Op:        op,
-		UserBytes: userBytes,
-		Seconds:   eng.Elapsed(),
-		Bandwidth: eng.Bandwidth(userBytes),
-		Totals:    eng.Totals(),
-		Domains:   len(plan.Domains),
-		Groups:    plan.Groups,
-		MaxRounds: maxRounds,
-	}
-	res.Aggregators = len(plan.Aggregators())
-	buffers := make([]float64, 0, len(plan.Domains))
-	for _, d := range plan.Domains {
-		buffers = append(buffers, float64(d.BufferBytes))
-		if d.PagedSeverity > 0 {
-			res.PagedAggregators++
-		}
-	}
-	res.BufferSummary = stats.Summarize(buffers)
-	if opt.Trace {
-		res.Trace = eng.Trace()
-	}
-	return res, nil
+	return costResult(ctx, plan, op, opt, eng, pid, maxRounds, ""), nil
 }
 
 // String renders the result in one line for experiment logs.

@@ -3,14 +3,12 @@ package collio
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"mcio/internal/faults"
 	"mcio/internal/obs"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 // HostFault is one host-level fault (crash or memory collapse)
@@ -168,21 +166,70 @@ func (p *Plan) Compact() *Plan {
 // it delegates to Cost, so the result is byte-identical to the
 // fault-free path. The same plan, injector schedule and handler always
 // produce the same result — faulted runs are as reproducible as clean
-// ones.
+// ones. It runs the byte engine: every contributor is walked per rank,
+// so the per-rank mpi.* and per-domain collio.shuffle_bytes counters
+// are emitted.
 func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil)
+	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil, false)
 }
 
-// costFaulted is the shared engine behind CostWithFaults (ad == nil:
-// the static retry-only policy) and CostAdaptive (ad != nil: health
-// observation, circuit breakers, hedging and proactive failover).
-// Fault *pricing* — including the gray kinds — is identical either
-// way; only the response policy differs.
+// CostWithFaultsBundled is CostWithFaults on the analytical fast path,
+// bit-identical to it: the same loop, with healthy traffic bundled per
+// node (see costFaulted). With a nil or empty injector it delegates to
+// BuildShape and CostShape. fastsim.CostWithFaults is its public face.
+func CostWithFaultsBundled(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
+	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
+	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil, true)
+}
+
+// costFaulted is the one faulted pricing loop behind CostWithFaults and
+// CostAdaptive (the byte engine, bundle false) and CostWithFaultsBundled
+// (the fast engine, bundle true). ad == nil is the static retry-only
+// policy; ad != nil adds health observation, circuit breakers, hedging
+// and proactive failover. Fault *pricing* — including the gray kinds —
+// is identical either way; only the response policy differs. Adaptive
+// runs are byte-engine-only: hedging feeds a delay window whose
+// contents depend on message order.
+//
+// The engines differ only in how they emit shuffle and recovery
+// messages. The byte engine sends one message per contributing rank.
+// The fast engine prices the same rounds bit-identically with far
+// fewer messages:
+//
+//   - Engine round pricing reduces messages to commutative per-node
+//     integer loads, so healthy traffic aggregates freely: one
+//     AggMessage per (node, domain) pair per round, reconstructed
+//     exactly by NodeContrib.RoundShare.
+//   - Message-level fault state (drop/flip budgets, delay windows,
+//     flaky-NIC counters) is keyed by source node, and every injector
+//     query on a node without live state is a pure no-op. Each round
+//     the loop computes the hot-node set; messages from a hot node are
+//     walked per rank in byte-engine order — preserving both the
+//     injector's per-node query sequence and the order extra latency
+//     terms are summed in (floats only accumulate from hot messages,
+//     so skipping healthy ones changes nothing) — while healthy nodes
+//     stay aggregated.
+//   - Every contributor of one folded item ships the same recovery
+//     payload, so consecutive same-route recovery messages bundle.
+//
+// Everything else — storage accesses, retry ladders, replay, refolds,
+// slowdowns, leak decay — is shared, so identical per-round costs keep
+// the engine clock identical and fault windows open and close on the
+// same boundaries.
 func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler, ad *Adaptive) (*FaultResult, error) {
+	inj *faults.Injector, handler FaultHandler, ad *Adaptive, bundle bool) (*FaultResult, error) {
 	if inj.Empty() {
-		res, err := Cost(ctx, plan, reqs, op, opt)
+		var res *CostResult
+		var err error
+		if bundle {
+			var sh *Shape
+			if sh, err = BuildShape(ctx, plan, reqs); err == nil {
+				res, err = CostShape(ctx, plan, sh, op, opt)
+			}
+		} else {
+			res, err = Cost(ctx, plan, reqs, op, opt)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -191,92 +238,29 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	if handler == nil {
 		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	eng, pid, err := newCostEngine(ctx, plan, op, opt)
 	if err != nil {
 		return nil, err
 	}
-	co := newCostObs(ctx, plan, op)
-	if co != nil {
-		eng.SetObserver(ctx.Obs, co.pid,
-			obs.L("strategy", plan.Strategy), obs.L("op", op.String()))
-	}
 	inj.SetObserver(ctx.Obs)
-
-	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
-	for i, d := range plan.Domains {
-		placements[i] = sim.AggregatorPlacement{
-			Node:          d.AggNode,
-			BufferBytes:   d.BufferBytes,
-			PagedSeverity: d.PagedSeverity,
-		}
-	}
-	eng.SetAggregators(placements)
-	tlAttach(ctx, eng, plan, op)
-	tlBufferGauges(ctx, plan.Domains, 0)
 	tlr := ctx.Timeline
 
-	// Metadata exchange, identical to Cost.
-	extCount := make(map[int]int, len(reqs))
-	for _, r := range reqs {
-		extCount[r.Rank] = len(pfs.NormalizeExtents(r.Extents))
-	}
-	aggsByGroup := make(map[int][]int)
-	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
-	}
-	meta := sim.Round{Kind: sim.RoundMetadata}
-	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
-		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
-			if bytes == 0 {
-				continue
-			}
-			for _, a := range aggs {
-				meta.Messages = append(meta.Messages, sim.Message{
-					SrcNode: ctx.Topo.NodeOf(r),
-					DstNode: ctx.Topo.NodeOf(a),
-					Bytes:   bytes,
-				})
-				co.transfer(r, a, bytes)
-			}
+	// Metadata exchange, identical to the engine's clean pricing.
+	var co *costObs
+	if bundle {
+		if xs, _ := buildMetaExchanges(ctx, plan, reqs); len(xs) > 0 {
+			eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: xs})
 		}
-	}
-	if len(meta.Messages) > 0 {
-		eng.RunRound(meta)
+	} else {
+		co = newCostObs(ctx, plan, op)
+		if meta := metaRound(ctx, plan, reqs, co); len(meta.Messages) > 0 {
+			eng.RunRound(meta)
+		}
 	}
 
 	// Live domain set (placements mutate on recovery) and work items.
 	live := append([]Domain(nil), plan.Domains...)
-	items := make([]*FaultItem, 0, len(live))
-	domainContribs := buildFaultContribs(ctx, live, reqs)
-	totalRounds := 0
-	for i, d := range live {
-		rounds := d.Rounds()
-		totalRounds += rounds
-		if rounds == 0 {
-			continue
-		}
-		items = append(items, &FaultItem{
-			Domain:   i,
-			Base:     d.Extents,
-			Bytes:    d.Bytes,
-			Buf:      d.BufferBytes,
-			Rounds:   rounds,
-			Rot:      i,
-			Contribs: domainContribs[i],
-		})
-	}
+	items, totalRounds := faultItems(ctx, live, reqs)
 
 	res := &FaultResult{}
 	spec := inj.Spec()
@@ -313,9 +297,9 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		var affectedItems []int
 		domainSet := map[int]bool{}
 		for ii, it := range items {
-			if it.Active() && live[it.Domain].AggNode == ev.Node {
+			if it.active() && live[it.domain].AggNode == ev.Node {
 				affectedItems = append(affectedItems, ii)
-				domainSet[it.Domain] = true
+				domainSet[it.domain] = true
 			}
 		}
 		affected := make([]int, 0, len(domainSet))
@@ -329,8 +313,8 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		// was lost, nothing replays.
 		if !proactive {
 			for _, ii := range affectedItems {
-				if items[ii].Done > 0 {
-					items[ii].Done--
+				if items[ii].done > 0 {
+					items[ii].done--
 					res.ReplayedRounds++
 				}
 			}
@@ -345,7 +329,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		}
 
 		var stall float64
-		var rec sim.Round
+		var rec sim.AggRound
 		// refold retires every item bound to domain src and re-creates
 		// its remaining work bound to domain dst, shipping the
 		// contributors' remaining extent lists to dst's aggregator as
@@ -358,11 +342,11 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 			n := len(items)
 			for ii := 0; ii < n; ii++ {
 				it := items[ii]
-				if it.Domain != src || !it.Active() {
+				if it.domain != src || !it.active() {
 					continue
 				}
-				nit := it.Fold(dst, live)
-				it.Done = it.Rounds // retire
+				nit := it.fold(dst, live)
+				it.done = it.rounds // retire
 				if nit == nil {
 					continue
 				}
@@ -370,14 +354,20 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				if !reExchange {
 					continue
 				}
-				bytes := nit.RecoveryMetaBytes()
-				for _, c := range nit.Contribs {
-					rec.Messages = append(rec.Messages, sim.Message{
-						SrcNode: c.Node,
-						DstNode: live[dst].AggNode,
-						Bytes:   bytes,
+				bytes := nit.recoveryMetaBytes()
+				dstNode := live[dst].AggNode
+				for _, c := range nit.contribs {
+					co.transfer(c.rank, live[dst].Aggregator, bytes)
+					if k := len(rec.Messages); bundle && k > 0 {
+						if m := &rec.Messages[k-1]; m.SrcNode == c.node && m.DstNode == dstNode {
+							m.Bytes += bytes
+							m.Count++
+							continue
+						}
+					}
+					rec.Messages = append(rec.Messages, sim.AggMessage{
+						SrcNode: c.node, DstNode: dstNode, Bytes: bytes, Count: 1,
 					})
-					co.transfer(c.Rank, live[dst].Aggregator, bytes)
 				}
 			}
 		}
@@ -425,7 +415,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 			eng.AddRecoveryLatency(stall, ev.Kind.String())
 		}
 		if len(rec.Messages) > 0 {
-			eng.RunRecoveryRound(rec)
+			eng.RunAggRecoveryRound(rec)
 		}
 		return len(ras), nil
 	}
@@ -435,6 +425,10 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	// a correct handler converges far below it.
 	guard := 16*(totalRounds+1) + 1024
 	executed := 0
+	hot := make([]bool, nodes)
+	var round sim.AggRound
+	var slice []pfs.Extent
+	mapper := ctx.FS.NewMapper()
 	for {
 		now := eng.Elapsed()
 		for _, ev := range inj.Advance(now) {
@@ -476,7 +470,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 			if mh, ok := handler.(MemDecayHandler); ok {
 				sev = mh.OnMemDecay(n, frac)
 			} else {
-				sev = LeakSeverity(live, ctx.Avail[n], n, frac)
+				sev = leakSeverity(live, ctx.Avail[n], n, frac)
 			}
 			if sev > leakSev[n] {
 				leakSev[n] = sev
@@ -522,7 +516,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 					}
 					hasWork := false
 					for _, it := range items {
-						if it.Active() && live[it.Domain].AggNode == n {
+						if it.active() && live[it.domain].AggNode == n {
 							hasWork = true
 							break
 						}
@@ -548,7 +542,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 
 		anyActive := false
 		for _, it := range items {
-			if it.Active() {
+			if it.active() {
 				anyActive = true
 				break
 			}
@@ -557,87 +551,139 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 			break
 		}
 
-		var round sim.Round
+		// Hot nodes carry message-level fault state this round: a live
+		// delay window, pending drop/flip budgets, or an active flaky-NIC
+		// drop cadence. On the byte engine every node is walked as if
+		// hot. Events only apply at round boundaries, so a node healthy
+		// here stays query-inert all round.
+		for n := 0; n < nodes; n++ {
+			hot[n] = !bundle || inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now) > 0 ||
+				inj.PendingDrops(n) > 0 || inj.PendingFlips(n) > 0 ||
+				inj.NICDropActive(n, now)
+		}
+
+		round.Messages = round.Messages[:0]
+		round.IOOps = round.IOOps[:0]
 		var extraLat float64
 		for _, it := range items {
-			if !it.Active() {
+			if !it.active() {
 				continue
 			}
-			d := live[it.Domain]
-			s := it.Done
-			for _, c := range it.Contribs {
-				per := EvenShare(c.Bytes, s, it.Rounds)
-				if per == 0 {
-					continue
-				}
-				m := sim.Message{SrcNode: c.Node, DstNode: d.AggNode, Bytes: per}
-				srcRank, dstRank := c.Rank, d.Aggregator
+			d := live[it.domain]
+			s := it.done
+			// An item walks its contributors when any of its messages'
+			// source node is hot: the aggregator node on reads (every
+			// message originates there), any contributing node on writes.
+			// The byte engine always walks; the fast engine bundles every
+			// message it does not walk.
+			walk := !bundle
+			var aggs []NodeContrib
+			if bundle {
+				aggs = it.nodeContribs()
 				if op == Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-					srcRank, dstRank = dstRank, srcRank
-				}
-				co.transfer(srcRank, dstRank, per)
-				if co != nil {
-					co.shuf[it.Domain].Add(per)
-				}
-				if delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now); delay > 0 {
-					charged := delay
-					if ad != nil {
-						if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
-							// Hedge the straggler: at the quantile deadline a
-							// duplicate re-request goes out and the first
-							// arrival wins. The duplicate's bytes move on the
-							// wire but the checksum path discards the loser,
-							// so they never reach user accounting.
-							charged = dl
-							round.Messages = append(round.Messages, m)
-							res.HedgedMessages++
-							res.HedgedBytes += m.Bytes
-							res.DedupedBytes += m.Bytes
-							if tlr != nil {
-								tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
-									fmt.Sprintf("%d bytes re-requested", m.Bytes))
-							}
+					walk = hot[d.AggNode]
+				} else {
+					for i := range aggs {
+						if hot[aggs[i].Node] {
+							walk = true
+							break
 						}
 					}
-					extraLat += charged
-					res.DelayedMessages++
 				}
-				if ad != nil {
-					ad.window.Add(inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now))
-				}
-				if inj.TakeDrop(m.SrcNode) {
-					// Lost and resent after the drop timeout: the bytes
-					// move twice and the round absorbs the timeout.
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.DroppedMessages++
-				}
-				if inj.TakeNICDrop(m.SrcNode, now) {
-					// A flaky-NIC burst drop, priced like any other drop.
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.DroppedMessages++
-					res.FlakyDrops++
-				}
-				if inj.TakeMsgFlip(m.SrcNode) {
-					// Silently corrupted: end-to-end verification detects
-					// the flip and re-requests the chunk, so the bytes move
-					// twice and the round absorbs the detect+resend
-					// round-trip (priced like a drop timeout).
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.CorruptedMessages++
-					if tlr != nil {
-						tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
-							fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
+			}
+			if walk {
+				for _, c := range it.contribs {
+					m := sim.AggMessage{SrcNode: c.node, DstNode: d.AggNode, Count: 1}
+					srcRank, dstRank := c.rank, d.Aggregator
+					if op == Read {
+						m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
+						srcRank, dstRank = dstRank, srcRank
 					}
+					if !hot[m.SrcNode] {
+						continue
+					}
+					if m.Bytes = evenShare(c.bytes, s, it.rounds); m.Bytes == 0 {
+						continue
+					}
+					co.shuffle(it.domain, srcRank, dstRank, m.Bytes)
+					delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now)
+					if delay > 0 {
+						charged := delay
+						if ad != nil {
+							if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
+								// Hedge the straggler: at the quantile deadline a
+								// duplicate re-request goes out and the first
+								// arrival wins. The duplicate's bytes move on the
+								// wire but the checksum path discards the loser,
+								// so they never reach user accounting.
+								charged = dl
+								round.Messages = append(round.Messages, m)
+								res.HedgedMessages++
+								res.HedgedBytes += m.Bytes
+								res.DedupedBytes += m.Bytes
+								if tlr != nil {
+									tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
+										fmt.Sprintf("%d bytes re-requested", m.Bytes))
+								}
+							}
+						}
+						extraLat += charged
+						res.DelayedMessages++
+					}
+					if ad != nil {
+						ad.window.Add(delay)
+					}
+					if inj.TakeDrop(m.SrcNode) {
+						// Lost and resent after the drop timeout: the bytes
+						// move twice and the round absorbs the timeout.
+						round.Messages = append(round.Messages, m)
+						extraLat += spec.DropTimeoutSeconds
+						res.DroppedMessages++
+					}
+					if inj.TakeNICDrop(m.SrcNode, now) {
+						// A flaky-NIC burst drop, priced like any other drop.
+						round.Messages = append(round.Messages, m)
+						extraLat += spec.DropTimeoutSeconds
+						res.DroppedMessages++
+						res.FlakyDrops++
+					}
+					if inj.TakeMsgFlip(m.SrcNode) {
+						// Silently corrupted: end-to-end verification detects
+						// the flip and re-requests the chunk, so the bytes move
+						// twice and the round absorbs the detect+resend
+						// round-trip (priced like a drop timeout).
+						round.Messages = append(round.Messages, m)
+						extraLat += spec.DropTimeoutSeconds
+						res.CorruptedMessages++
+						if tlr != nil {
+							tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
+								fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
+						}
+					}
+					round.Messages = append(round.Messages, m)
+				}
+			}
+			for i := range aggs {
+				nc := &aggs[i]
+				if op == Read && walk || op == Write && hot[nc.Node] {
+					continue
+				}
+				bytes, msgs := nc.RoundShare(s)
+				if bytes == 0 {
+					continue
+				}
+				m := sim.AggMessage{SrcNode: nc.Node, DstNode: d.AggNode, Bytes: bytes, Count: msgs}
+				if op == Read {
+					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
 				}
 				round.Messages = append(round.Messages, m)
 			}
-			idx := (s + it.Rot) % it.Rounds
-			slice := pfs.SliceData(it.Base, int64(idx)*it.Buf, it.Buf)
-			for _, acc := range ctx.FS.MapExtents(slice) {
+
+			// Storage: the same accesses in the same order on both engines
+			// drive the same per-target retry-ladder and torn-write state.
+			idx := (s + it.rot) % it.rounds
+			slice = pfs.SliceDataAppend(slice[:0], it.base, int64(idx)*it.buf, it.buf)
+			for _, acc := range mapper.Map(slice) {
 				fastFail := false
 				if ad != nil {
 					// Allow may move the breaker Open -> HalfOpen at the
@@ -646,64 +692,40 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 					fastFail = !ad.Breakers.Allow(acc.Target, now)
 					tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
 				}
+				bw := ctx.FS.TargetBW
+				if op == Read && ctx.FS.ReadBWFactor > 0 {
+					bw *= ctx.FS.ReadBWFactor
+				}
+				var retries int
+				var delay float64
 				if fastFail {
 					// Open breaker: fail fast into degraded service. The
 					// access skips the retry ladder entirely and pays only
 					// the degraded streaming factor — the whole point of
 					// the breaker is not paying the full backoff walk per
 					// access against a target known to be sick.
-					bw := ctx.FS.TargetBW
-					if op == Read && ctx.FS.ReadBWFactor > 0 {
-						bw *= ctx.FS.ReadBWFactor
+					delay = float64(acc.Bytes) / bw * (max(spec.DegradedFactor, 1) - 1)
+				} else {
+					var degraded bool
+					retries, delay, degraded = inj.OSTPenalty(acc.Target, now)
+					if degraded {
+						delay += float64(acc.Bytes) / bw * (spec.DegradedFactor - 1)
 					}
-					df := spec.DegradedFactor
-					if df < 1 {
-						df = 1
-					}
-					torn := 0
-					if op == Write && inj.TakeTornWrite(acc.Target) {
-						torn = 1
-						res.TornWrites++
-						if tlr != nil {
-							tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", acc.Target),
-								"torn write re-issued")
+					res.StorageRetries += retries
+					if ad != nil {
+						before := ad.Breakers.State(acc.Target)
+						if retries > 0 {
+							ad.Breakers.OnFailure(acc.Target, now)
+						} else if !inj.OSTWindowActive(acc.Target, now) &&
+							!(ad.Detector != nil && ad.Detector.Suspected("ost", acc.Target)) {
+							// A clean access only votes "healthy" when the
+							// detector agrees — a suspected-slow target must
+							// not have its breaker failure count washed out
+							// by accesses that merely completed (slowly).
+							ad.Breakers.OnSuccess(acc.Target, now)
 						}
+						tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
 					}
-					round.IOOps = append(round.IOOps, sim.IOOp{
-						Target:       acc.Target,
-						Node:         d.AggNode,
-						Bytes:        acc.Bytes,
-						Requests:     acc.Requests + torn,
-						Contiguous:   acc.Contiguous,
-						Write:        op == Write,
-						DelaySeconds: float64(acc.Bytes) / bw * (df - 1),
-						Degraded:     true,
-					})
-					continue
-				}
-				retries, backoff, degraded := inj.OSTPenalty(acc.Target, now)
-				delay := backoff
-				if degraded {
-					bw := ctx.FS.TargetBW
-					if op == Read && ctx.FS.ReadBWFactor > 0 {
-						bw *= ctx.FS.ReadBWFactor
-					}
-					delay += float64(acc.Bytes) / bw * (spec.DegradedFactor - 1)
-				}
-				res.StorageRetries += retries
-				if ad != nil {
-					before := ad.Breakers.State(acc.Target)
-					if retries > 0 {
-						ad.Breakers.OnFailure(acc.Target, now)
-					} else if !inj.OSTWindowActive(acc.Target, now) &&
-						!(ad.Detector != nil && ad.Detector.Suspected("ost", acc.Target)) {
-						// A clean access only votes "healthy" when the
-						// detector agrees — a suspected-slow target must not
-						// have its breaker failure count washed out by
-						// accesses that merely completed (slowly).
-						ad.Breakers.OnSuccess(acc.Target, now)
-					}
-					tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
 				}
 				torn := 0
 				if op == Write && inj.TakeTornWrite(acc.Target) {
@@ -724,57 +746,25 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 					Contiguous:   acc.Contiguous,
 					Write:        op == Write,
 					DelaySeconds: delay,
+					Degraded:     fastFail,
 				})
 			}
-			it.Done++
+			it.done++
 		}
 		if extraLat > 0 {
 			eng.AddLatency(extraLat)
 		}
-		eng.RunRound(round)
+		eng.RunAggRound(round)
 		executed++
 		if executed > guard {
 			return nil, fmt.Errorf("collio: fault recovery did not converge after %d rounds", executed)
 		}
 	}
 
-	userBytes := plan.TotalBytes()
-	if co != nil {
-		span := ctx.Obs.Tracer().Begin(co.pid, sim.TIDTimeline,
-			plan.Strategy+" "+op.String()+" (faults)", 0,
-			obs.A("groups", strconv.Itoa(plan.Groups)),
-			obs.A("domains", strconv.Itoa(len(plan.Domains))),
-			obs.A("rounds", strconv.Itoa(executed)),
-			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
-		span.End(eng.Elapsed())
-	}
-	totals := eng.Totals()
-	res.CostResult = CostResult{
-		Strategy:  plan.Strategy,
-		Op:        op,
-		UserBytes: userBytes,
-		Seconds:   eng.Elapsed(),
-		Bandwidth: eng.Bandwidth(userBytes),
-		Totals:    totals,
-		Domains:   len(plan.Domains),
-		Groups:    plan.Groups,
-		MaxRounds: executed,
-	}
-	res.Aggregators = len(plan.Aggregators())
-	buffers := make([]float64, 0, len(plan.Domains))
-	for _, d := range plan.Domains {
-		buffers = append(buffers, float64(d.BufferBytes))
-		if d.PagedSeverity > 0 {
-			res.PagedAggregators++
-		}
-	}
-	res.BufferSummary = stats.Summarize(buffers)
-	if opt.Trace {
-		res.Trace = eng.Trace()
-	}
+	res.CostResult = *costResult(ctx, plan, op, opt, eng, pid, executed, " (faults)")
 	res.Injected = inj.Counts()
-	res.RecoverySeconds = totals.RecoverySeconds
-	res.RecoveryRounds = totals.RecoveryRounds
+	res.RecoverySeconds = res.Totals.RecoverySeconds
+	res.RecoveryRounds = res.Totals.RecoveryRounds
 	if ad != nil {
 		res.SuspectEvents = ad.Detector.Transitions()
 		res.BreakerOpens = ad.Breakers.Opens()
@@ -805,7 +795,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 // leakSeverity is the inline MemLeak fallback for handlers without
 // memory accounting: the live domains' buffer reservations on node
 // against the decayed budget give the paged fraction.
-func LeakSeverity(live []Domain, avail int64, node int, frac float64) float64 {
+func leakSeverity(live []Domain, avail int64, node int, frac float64) float64 {
 	var reserved int64
 	for _, d := range live {
 		if d.AggNode == node && d.Bytes > 0 {
@@ -820,9 +810,5 @@ func LeakSeverity(live []Domain, avail int64, node int, frac float64) float64 {
 	if over <= 0 {
 		return 0
 	}
-	s := float64(over) / float64(reserved)
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return min(float64(over)/float64(reserved), 1)
 }

@@ -4,60 +4,59 @@ import (
 	"sort"
 
 	"mcio/internal/pfs"
-	"mcio/internal/sim"
 )
 
-// FaultContrib is one rank's contribution to a fault-loop work item:
-// the per-rank granularity the faulted cost loop needs to replay, fold
-// and re-exchange work when hosts fail. It is the per-rank form of
-// NodeContrib.
-type FaultContrib struct {
-	Rank  int
-	Node  int
-	Bytes int64
+// rankContrib is one rank's shuffle contribution to a domain: the
+// per-rank granularity the byte engine prices and the faulted loop
+// needs to replay, fold and re-exchange work when hosts fail. It is the
+// per-rank form of NodeContrib.
+type rankContrib struct {
+	rank  int
+	node  int
+	bytes int64
 }
 
-// FaultItem is a unit of remaining shuffle+I/O work in the faulted cost
+// faultItem is a unit of remaining shuffle+I/O work in the faulted cost
 // loop. One item starts per plan domain; a recovery folds an item's
 // remaining work into a fresh item bound to the absorbing (or
 // re-placed) domain. Items reference live domains by index for
 // placement, so later reassignments of the same domain move them too.
-// Both pricing engines share the type: the byte path walks Contribs
-// per rank each round, the fast path prices per-node aggregates (Aggs)
+// Both engines share the type: the byte engine walks contribs per rank
+// each round, the fast engine prices per-node aggregates (nodeContribs)
 // and falls back to the per-rank walk only where fault state demands
 // it.
-type FaultItem struct {
-	Domain   int // index into the live domain set; placement is read per round
-	Base     []pfs.Extent
-	Bytes    int64
-	Buf      int64
-	Rounds   int
-	Done     int
-	Rot      int // slice stagger rotation (domain index at creation)
-	Contribs []FaultContrib
+type faultItem struct {
+	domain   int // index into the live domain set; placement is read per round
+	base     []pfs.Extent
+	bytes    int64
+	buf      int64
+	rounds   int
+	done     int
+	rot      int // slice stagger rotation (domain index at creation)
+	contribs []rankContrib
 
-	aggs []NodeContrib // per-node aggregates, built on first Aggs call
+	nodes []NodeContrib // per-node aggregates, built on first nodeContribs call
 }
 
-// Active reports whether the item still has rounds to run.
-func (it *FaultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
+// active reports whether the item still has rounds to run.
+func (it *faultItem) active() bool { return it.bytes > 0 && it.done < it.rounds }
 
-// Aggs returns the item's per-node contribution aggregates, building
-// them from Contribs on first use. Each NodeContrib reconstructs the
-// node's exact per-round share of the byte path's front-loaded even
-// split (RoundShare), so aggregate pricing is bit-identical to walking
-// the ranks.
-func (it *FaultItem) Aggs() []NodeContrib {
-	if it.aggs == nil {
-		it.aggs = BuildAggs(it.Contribs, it.Rounds)
+// nodeContribs returns the item's per-node contribution aggregates,
+// building them from contribs on first use. Each NodeContrib
+// reconstructs the node's exact per-round share of the per-rank
+// front-loaded even split (RoundShare), so aggregate pricing is
+// bit-identical to walking the ranks.
+func (it *faultItem) nodeContribs() []NodeContrib {
+	if it.nodes == nil {
+		it.nodes = buildNodeContribs(it.contribs, it.rounds)
 	}
-	return it.aggs
+	return it.nodes
 }
 
-// EvenShare is the front-loaded even split Cost uses: step s of rounds
-// moves b/rounds bytes, plus one while s < b mod rounds. NodeContrib.
-// RoundShare is its exact per-node aggregate.
-func EvenShare(b int64, s, rounds int) int64 {
+// evenShare is the front-loaded even split both engines price: step s
+// of rounds moves b/rounds bytes, plus one while s < b mod rounds.
+// NodeContrib.RoundShare is its exact per-node aggregate.
+func evenShare(b int64, s, rounds int) int64 {
 	per := b / int64(rounds)
 	if int64(s) < b%int64(rounds) {
 		per++
@@ -68,35 +67,28 @@ func EvenShare(b int64, s, rounds int) int64 {
 // remaining returns the item's unmoved extents and per-contributor
 // bytes after the steps it has completed (slices are staggered, so the
 // remainder is the union of the uncompleted slices).
-func (it *FaultItem) remaining() ([]pfs.Extent, []FaultContrib) {
-	if it.Done == 0 {
-		return it.Base, it.Contribs
+func (it *faultItem) remaining() ([]pfs.Extent, []rankContrib) {
+	if it.done == 0 {
+		return it.base, it.contribs
 	}
 	var rem []pfs.Extent
-	for j := it.Done; j < it.Rounds; j++ {
-		idx := (j + it.Rot) % it.Rounds
-		rem = append(rem, pfs.SliceData(it.Base, int64(idx)*it.Buf, it.Buf)...)
+	for j := it.done; j < it.rounds; j++ {
+		idx := (j + it.rot) % it.rounds
+		rem = append(rem, pfs.SliceData(it.base, int64(idx)*it.buf, it.buf)...)
 	}
-	var cs []FaultContrib
-	for _, c := range it.Contribs {
-		moved := int64(it.Done)*(c.Bytes/int64(it.Rounds)) + minI64(int64(it.Done), c.Bytes%int64(it.Rounds))
-		if left := c.Bytes - moved; left > 0 {
-			cs = append(cs, FaultContrib{Rank: c.Rank, Node: c.Node, Bytes: left})
+	var cs []rankContrib
+	for _, c := range it.contribs {
+		moved := int64(it.done)*(c.bytes/int64(it.rounds)) + min(int64(it.done), c.bytes%int64(it.rounds))
+		if left := c.bytes - moved; left > 0 {
+			cs = append(cs, rankContrib{rank: c.rank, node: c.node, bytes: left})
 		}
 	}
 	return pfs.NormalizeExtents(rem), cs
 }
 
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Fold builds the successor item carrying it's remaining work on the
+// fold builds the successor item carrying it's remaining work on the
 // (possibly re-placed) domain target. Returns nil when nothing remains.
-func (it *FaultItem) Fold(target int, live []Domain) *FaultItem {
+func (it *faultItem) fold(target int, live []Domain) *faultItem {
 	rem, cs := it.remaining()
 	bytes := pfs.TotalBytes(rem)
 	if bytes == 0 {
@@ -106,125 +98,78 @@ func (it *FaultItem) Fold(target int, live []Domain) *FaultItem {
 	if buf < 1 {
 		buf = 1
 	}
-	return &FaultItem{
-		Domain:   target,
-		Base:     rem,
-		Bytes:    bytes,
-		Buf:      buf,
-		Rounds:   int((bytes + buf - 1) / buf),
-		Rot:      target,
-		Contribs: cs,
+	return &faultItem{
+		domain:   target,
+		base:     rem,
+		bytes:    bytes,
+		buf:      buf,
+		rounds:   int((bytes + buf - 1) / buf),
+		rot:      target,
+		contribs: cs,
 	}
 }
 
-// RecoveryMetaBytes is the extent-list payload each surviving
+// recoveryMetaBytes is the extent-list payload each surviving
 // contributor re-ships to the absorbing aggregator after a fold: one
 // wire record per remaining extent, floored at one record so an empty
-// hand-off still costs a message. Both engines price recovery rounds
-// from it.
-func (it *FaultItem) RecoveryMetaBytes() int64 {
-	bytes := int64(len(it.Base)) * extentListEntryBytes
+// hand-off still costs a message.
+func (it *faultItem) recoveryMetaBytes() int64 {
+	bytes := int64(len(it.base)) * extentListEntryBytes
 	if bytes == 0 {
 		bytes = extentListEntryBytes
 	}
 	return bytes
 }
 
-// BuildAggs folds per-rank contributions into per-node aggregates,
-// ascending by node — the same construction BuildShape performs for
-// fault-free domains, applied to a fault item's (possibly refolded)
-// contributor list.
-func BuildAggs(contribs []FaultContrib, rounds int) []NodeContrib {
-	if rounds < 1 {
-		rounds = 1
-	}
+// buildNodeContribs folds per-rank contributions into per-node
+// aggregates, ascending by node — the same construction BuildShape
+// performs for fault-free domains, applied to a fault item's (possibly
+// refolded) contributor list.
+func buildNodeContribs(contribs []rankContrib, rounds int) []NodeContrib {
+	rounds = max(rounds, 1)
 	byNode := map[int]*NodeContrib{}
 	for _, c := range contribs {
-		nc := byNode[c.Node]
+		nc := byNode[c.node]
 		if nc == nil {
-			nc = &NodeContrib{Node: c.Node}
-			byNode[c.Node] = nc
+			nc = &NodeContrib{Node: c.node}
+			byNode[c.node] = nc
 		}
-		nc.Count++
-		nc.Bytes += c.Bytes
-		fl, rem := c.Bytes/int64(rounds), c.Bytes%int64(rounds)
-		nc.floorSum += fl
-		if fl > 0 {
-			nc.posFloor++
-		}
-		if rem > 0 {
-			nc.rems = append(nc.rems, rem)
-			if fl == 0 {
-				nc.remsZero = append(nc.remsZero, rem)
-			}
-		}
+		nc.add(c.bytes, rounds)
 	}
-	out := make([]NodeContrib, 0, len(byNode))
-	for _, nc := range byNode {
-		sortInt64s(nc.rems)
-		sortInt64s(nc.remsZero)
-		out = append(out, *nc)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
-	return out
+	return sortedNodeContribs(byNode)
 }
 
-// FaultShape is the fault-loop round structure of a planned collective
-// operation: the metadata scatter in closed form plus one work item per
-// non-empty domain, carrying both the per-rank contributor lists the
-// recovery machinery folds and the per-node aggregates the fast path
-// prices. It is BuildShape's counterpart for faulted runs.
-type FaultShape struct {
-	// MetaExchanges is the metadata scatter, as in Shape.
-	MetaExchanges []sim.Exchange
-	// MetaMessages is the point-to-point message count the exchanges
-	// stand for.
-	MetaMessages int
-	// Items holds one work item per domain with at least one round,
-	// in domain order — the initial state of the faulted cost loop.
-	Items []*FaultItem
-	// TotalRounds sums the initial items' round counts; the loop's
-	// divergence guard keys on it.
-	TotalRounds int
-}
-
-// BuildFaultedShape derives the faulted round structure of plan for the
-// given requests: the same metadata exchanges BuildShape produces, plus
-// per-rank work items (the byte-path fault loop's state) with per-node
-// aggregates attached. Building it walks each rank's request list once.
-func BuildFaultedShape(ctx *Context, plan *Plan, reqs []RankRequest) (*FaultShape, error) {
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
-	fs := &FaultShape{}
-	fs.MetaExchanges, fs.MetaMessages = buildMetaExchanges(ctx, plan, reqs)
-	contribs := buildFaultContribs(ctx, plan.Domains, reqs)
-	for i, d := range plan.Domains {
+// faultItems builds the faulted loop's initial work: one item per
+// domain with at least one round, in domain order, each carrying the
+// domain's per-rank contributors. total sums every domain's rounds; the
+// loop's divergence guard keys on it.
+func faultItems(ctx *Context, domains []Domain, reqs []RankRequest) (items []*faultItem, total int) {
+	contribs := domainContribs(ctx, domains, reqs)
+	for i, d := range domains {
 		rounds := d.Rounds()
-		fs.TotalRounds += rounds
+		total += rounds
 		if rounds == 0 {
 			continue
 		}
-		fs.Items = append(fs.Items, &FaultItem{
-			Domain:   i,
-			Base:     d.Extents,
-			Bytes:    d.Bytes,
-			Buf:      d.BufferBytes,
-			Rounds:   rounds,
-			Rot:      i,
-			Contribs: contribs[i],
+		items = append(items, &faultItem{
+			domain:   i,
+			base:     d.Extents,
+			bytes:    d.Bytes,
+			buf:      d.BufferBytes,
+			rounds:   rounds,
+			rot:      i,
+			contribs: contribs[i],
 		})
 	}
-	return fs, nil
+	return items, total
 }
 
-// buildFaultContribs computes each domain's per-rank contributor list,
-// in request order (the order the faulted round loop walks). The sparse
-// overlap walk visits only (rank, domain) pairs that actually overlap,
-// so the build is near-linear in total extents rather than ranks ×
-// domains.
-func buildFaultContribs(ctx *Context, domains []Domain, reqs []RankRequest) [][]FaultContrib {
-	out := make([][]FaultContrib, len(domains))
+// domainContribs computes each domain's per-rank contributor list, in
+// request order (the order the byte engine walks). The sparse overlap
+// walk visits only (rank, domain) pairs that actually overlap, so the
+// build is near-linear in total extents rather than ranks × domains.
+func domainContribs(ctx *Context, domains []Domain, reqs []RankRequest) [][]rankContrib {
+	out := make([][]rankContrib, len(domains))
 	if len(domains) == 0 {
 		return out
 	}
@@ -242,8 +187,22 @@ func buildFaultContribs(ctx *Context, domains []Domain, reqs []RankRequest) [][]
 		overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
 		for _, bb := range overlaps {
 			out[bb.Bucket] = append(out[bb.Bucket],
-				FaultContrib{Rank: r.Rank, Node: node, Bytes: bb.Bytes})
+				rankContrib{rank: r.Rank, node: node, bytes: bb.Bytes})
 		}
 	}
+	return out
+}
+
+// sortedNodeContribs flattens per-node aggregates into a slice
+// ascending by node, with each node's remainder multisets sorted for
+// RoundShare's binary searches.
+func sortedNodeContribs(byNode map[int]*NodeContrib) []NodeContrib {
+	out := make([]NodeContrib, 0, len(byNode))
+	for _, nc := range byNode {
+		sortInt64s(nc.rems)
+		sortInt64s(nc.remsZero)
+		out = append(out, *nc)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
 	return out
 }

@@ -85,6 +85,24 @@ func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
 	return c.floorSum + int64(extra), c.posFloor + zero
 }
 
+// add folds one rank's contribution of bytes, split evenly over rounds,
+// into the aggregate.
+func (c *NodeContrib) add(bytes int64, rounds int) {
+	c.Count++
+	c.Bytes += bytes
+	fl, rem := bytes/int64(rounds), bytes%int64(rounds)
+	c.floorSum += fl
+	if fl > 0 {
+		c.posFloor++
+	}
+	if rem > 0 {
+		c.rems = append(c.rems, rem)
+		if fl == 0 {
+			c.remsZero = append(c.remsZero, rem)
+		}
+	}
+}
+
 // RoundSlice returns the file extents the domain's aggregator drains in
 // round k: the staggered collective-buffer window the byte path uses.
 func (d *DomainShape) RoundSlice(k int) []pfs.Extent {
@@ -136,39 +154,98 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 			node := ctx.Topo.NodeOf(r.Rank)
 			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
 			for _, bb := range overlaps {
-				rounds := int64(sh.Domains[bb.Bucket].Rounds)
 				nc := contribs[bb.Bucket][node]
 				if nc == nil {
 					nc = &NodeContrib{Node: node}
 					contribs[bb.Bucket][node] = nc
 				}
-				nc.Count++
-				nc.Bytes += bb.Bytes
-				fl, rem := bb.Bytes/rounds, bb.Bytes%rounds
-				nc.floorSum += fl
-				if fl > 0 {
-					nc.posFloor++
-				}
-				if rem > 0 {
-					nc.rems = append(nc.rems, rem)
-					if fl == 0 {
-						nc.remsZero = append(nc.remsZero, rem)
-					}
-				}
+				nc.add(bb.Bytes, sh.Domains[bb.Bucket].Rounds)
 			}
 		}
 	}
 	for i := range sh.Domains {
-		d := &sh.Domains[i]
-		d.Contribs = make([]NodeContrib, 0, len(contribs[i]))
-		for _, nc := range contribs[i] {
-			sortInt64s(nc.rems)
-			sortInt64s(nc.remsZero)
-			d.Contribs = append(d.Contribs, *nc)
-		}
-		sort.Slice(d.Contribs, func(a, b int) bool { return d.Contribs[a].Node < d.Contribs[b].Node })
+		sh.Domains[i].Contribs = sortedNodeContribs(contribs[i])
 	}
 	return sh, nil
+}
+
+// CostShape prices plan from its round structure sh, the analytical
+// fast path's clean pricing: per domain and round, the node-aggregated
+// shuffle share plus the storage accesses of the round's staggered
+// buffer slice — the quantities Cost reduces its per-rank messages to,
+// so the result matches Cost field for field. The AggRound backing
+// arrays, the slice scratch and the stripe mapper are recycled across
+// the (domain, round) loop, so steady-state pricing allocates nothing
+// per round. fastsim.Sim.Cost is its public face.
+func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
+	eng, pid, err := newCostEngine(ctx, plan, op, opt)
+	if err != nil {
+		return nil, err
+	}
+	if len(sh.MetaExchanges) > 0 {
+		eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: sh.MetaExchanges})
+	}
+	var round sim.AggRound
+	var slice []pfs.Extent
+	mapper := ctx.FS.NewMapper()
+	for k := 0; k < sh.MaxRounds; k++ {
+		round.Messages = round.Messages[:0]
+		round.IOOps = round.IOOps[:0]
+		for i := range sh.Domains {
+			d := &sh.Domains[i]
+			if k >= d.Rounds {
+				continue
+			}
+			for ci := range d.Contribs {
+				c := &d.Contribs[ci]
+				bytes, msgs := c.RoundShare(k)
+				if bytes == 0 {
+					continue
+				}
+				m := sim.AggMessage{SrcNode: c.Node, DstNode: d.AggNode, Bytes: bytes, Count: msgs}
+				if op == Read {
+					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
+				}
+				round.Messages = append(round.Messages, m)
+			}
+			slice = d.RoundSliceAppend(slice[:0], k)
+			for _, acc := range mapper.Map(slice) {
+				round.IOOps = append(round.IOOps, sim.IOOp{
+					Target:     acc.Target,
+					Node:       d.AggNode,
+					Bytes:      acc.Bytes,
+					Requests:   acc.Requests,
+					Contiguous: acc.Contiguous,
+					Write:      op == Write,
+				})
+			}
+		}
+		eng.RunAggRound(round)
+	}
+	return costResult(ctx, plan, op, opt, eng, pid, sh.MaxRounds, ""), nil
+}
+
+// metaInputs returns what the metadata exchange moves: each rank's
+// flattened extent-list payload in bytes (one wire record per
+// normalized extent) and each group's aggregator ranks, sorted and
+// deduplicated. Both engines' metadata builders start from it.
+func metaInputs(plan *Plan, reqs []RankRequest) (listBytes map[int]int64, aggsByGroup map[int][]int) {
+	listBytes = make(map[int]int64, len(reqs))
+	for _, r := range reqs {
+		n := len(r.Extents)
+		if !pfs.IsNormalized(r.Extents) {
+			n = len(pfs.NormalizeExtents(r.Extents))
+		}
+		listBytes[r.Rank] = int64(n) * extentListEntryBytes
+	}
+	aggsByGroup = make(map[int][]int)
+	for _, d := range plan.Domains {
+		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+	}
+	for g, aggs := range aggsByGroup {
+		aggsByGroup[g] = dedupInts(aggs)
+	}
+	return listBytes, aggsByGroup
 }
 
 // buildMetaExchanges derives the metadata scatter in closed form, one
@@ -177,32 +254,20 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 // aggregators per destination node (duplicate aggregator ranks on one
 // node are slots, each counting, as on the byte path); the engine
 // prices the cross product in O(sources + destinations). Returns the
-// exchanges and the point-to-point message count they stand for. Both
-// BuildShape and BuildFaultedShape share it.
+// exchanges and the point-to-point message count they stand for.
 func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exchange, int) {
-	extCount := make(map[int]int, len(reqs))
-	for _, r := range reqs {
-		n := len(r.Extents)
-		if !pfs.IsNormalized(r.Extents) {
-			n = len(pfs.NormalizeExtents(r.Extents))
-		}
-		extCount[r.Rank] = n
-	}
-	aggsByGroup := make(map[int][]int)
-	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
-	}
+	listBytes, aggsByGroup := metaInputs(plan, reqs)
 	var exchanges []sim.Exchange
 	messages := 0
 	srcBytes := map[int]*sim.ExchangeSrc{} // per-group scratch: src node -> bytes, rank count
 	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
+		aggs := aggsByGroup[g]
 		if len(aggs) == 0 {
 			continue
 		}
 		clear(srcBytes)
 		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
+			bytes := listBytes[r]
 			if bytes == 0 {
 				continue
 			}

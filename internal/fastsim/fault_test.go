@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/faults"
+	"mcio/internal/obs/timeline"
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
 	"mcio/internal/twophase"
@@ -37,6 +39,30 @@ func faultedPlan(ctx *collio.Context, strategy string, reqs []collio.RankRequest
 	return nil, nil, fmt.Errorf("unknown strategy %q", strategy)
 }
 
+// faultedEngine is the signature both engines' faulted entry points
+// share.
+type faultedEngine func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
+	sim.Options, *faults.Injector, collio.FaultHandler) (*collio.FaultResult, error)
+
+// runFaulted prices one faulted cell with one engine, from a freshly
+// generated fault plan, a fresh strategy plan and a fresh handler.
+func runFaulted(t *testing.T, ctx *collio.Context, strategy string, reqs []collio.RankRequest,
+	op collio.Op, opt sim.Options, spec faults.Spec, engine faultedEngine) (*collio.FaultResult, error) {
+	t.Helper()
+	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, handler, err := faultedPlan(ctx, strategy, reqs, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Validate(reqs); err != nil {
+		t.Fatal(err)
+	}
+	return engine(ctx, plan, reqs, op, opt, faults.NewInjector(fplan), handler)
+}
+
 // priceFaultedBoth prices one faulted cell with both engines — each
 // from its own freshly built plan, injector and handler — and fails on
 // any divergence in the full FaultResult: costs, engine totals, fault
@@ -45,23 +71,8 @@ func faultedPlan(ctx *collio.Context, strategy string, reqs []collio.RankRequest
 func priceFaultedBoth(t *testing.T, ctx *collio.Context, strategy string,
 	reqs []collio.RankRequest, op collio.Op, opt sim.Options, spec faults.Spec) *collio.FaultResult {
 	t.Helper()
-	run := func(engine func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
-		sim.Options, *faults.Injector, collio.FaultHandler) (*collio.FaultResult, error)) (*collio.FaultResult, error) {
-		fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, handler, err := faultedPlan(ctx, strategy, reqs, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.Validate(reqs); err != nil {
-			t.Fatal(err)
-		}
-		return engine(ctx, plan, reqs, op, opt, faults.NewInjector(fplan), handler)
-	}
-	want, wantErr := run(collio.CostWithFaults)
-	got, gotErr := run(CostWithFaults)
+	want, wantErr := runFaulted(t, ctx, strategy, reqs, op, opt, spec, collio.CostWithFaults)
+	got, gotErr := runFaulted(t, ctx, strategy, reqs, op, opt, spec, CostWithFaults)
 	if wantErr != nil {
 		// A schedule can legitimately kill the whole cluster; the handler's
 		// refusal must surface identically from both engines.
@@ -81,23 +92,31 @@ func priceFaultedBoth(t *testing.T, ctx *collio.Context, strategy string,
 	return got
 }
 
+// interleavedReqs is the crash cells' workload: each rank owns six
+// 700-byte records interleaved rank-major across the file, so rounds
+// carry uneven remainders and stripe maps span several targets.
+func interleavedReqs(ranks int) []collio.RankRequest {
+	reqs := make([]collio.RankRequest, ranks)
+	const rec = 700
+	for r := range reqs {
+		reqs[r].Rank = r
+		for b := 0; b < 6; b++ {
+			reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
+				Offset: int64(b*ranks+r) * rec,
+				Length: rec,
+			})
+		}
+	}
+	return reqs
+}
+
 // TestFaultedEnginesMatchCrash pins a schedule dominated by host-level
 // events — crashes and memory collapses forcing remerges, replays and
 // recovery rounds — and checks bit-identity on a workload with uneven
 // rounds.
 func TestFaultedEnginesMatchCrash(t *testing.T) {
 	ctx := testContext(t, 16, 4, 8, 8<<10)
-	reqs := make([]collio.RankRequest, 16)
-	const rec = 700
-	for r := range reqs {
-		for b := 0; b < 6; b++ {
-			reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
-				Offset: int64(b*16+r) * rec,
-				Length: rec,
-			})
-		}
-		reqs[r].Rank = r
-	}
+	reqs := interleavedReqs(16)
 	opt := sim.DefaultOptions()
 	opt.Trace = true
 	// Rate 5 survives under both strategies (remerges and stalls price to
@@ -290,4 +309,99 @@ func TestFaultScheduleEngineInvariant(t *testing.T) {
 				strategy, fast.Escalations(), byte_.Escalations())
 		}
 	}
+}
+
+// TestFaultedEnginesMatchTimeline checks that both engines record the
+// same timeline: on the crash schedule of TestFaultedEnginesMatchCrash,
+// a recorder attached to each engine's context must end up with the
+// same journal entries and the same node and OST utilization series.
+func TestFaultedEnginesMatchTimeline(t *testing.T) {
+	ctx := testContext(t, 16, 4, 8, 8<<10)
+	reqs := interleavedReqs(16)
+	opt := sim.DefaultOptions()
+	failovers := 0
+	for _, strategy := range []string{"two-phase", "memory-conscious"} {
+		ref := priceFaultedBoth(t, ctx, strategy, reqs, collio.Write, opt,
+			faults.DefaultSpec(3, 1).WithRate(0))
+		spec := faults.DefaultSpec(3, ref.Seconds*4).WithRate(5)
+		for _, op := range []collio.Op{collio.Write, collio.Read} {
+			record := func(engine faultedEngine) *timeline.Recorder {
+				tctx := *ctx
+				tctx.Timeline = timeline.NewRecorder(0, 0)
+				if _, err := runFaulted(t, &tctx, strategy, reqs, op, opt, spec, engine); err != nil {
+					t.Fatalf("%s %s: %v", strategy, op, err)
+				}
+				return tctx.Timeline
+			}
+			want, got := record(collio.CostWithFaults), record(CostWithFaults)
+			wantEvents, gotEvents := want.J().Events(), got.J().Events()
+			if !reflect.DeepEqual(gotEvents, wantEvents) {
+				t.Fatalf("%s %s: journals diverge\nfast: %+v\nbyte: %+v", strategy, op, gotEvents, wantEvents)
+			}
+			wantSeries, gotSeries := entitySeries(want), entitySeries(got)
+			if len(wantSeries) == 0 {
+				t.Fatalf("%s %s: byte engine recorded no node or OST series", strategy, op)
+			}
+			if !reflect.DeepEqual(gotSeries, wantSeries) {
+				t.Fatalf("%s %s: utilization series diverge\nfast: %+v\nbyte: %+v", strategy, op, gotSeries, wantSeries)
+			}
+			for _, ev := range wantEvents {
+				if ev.Kind == timeline.EvFailover {
+					failovers++
+				}
+			}
+		}
+	}
+	if failovers == 0 {
+		t.Fatal("no failover journaled — recovery recording untested")
+	}
+}
+
+// entitySeries returns the recorder's node and OST series.
+func entitySeries(rec *timeline.Recorder) []timeline.SeriesView {
+	var out []timeline.SeriesView
+	for _, v := range rec.Snapshot() {
+		if strings.HasPrefix(v.Entity, "node ") || strings.HasPrefix(v.Entity, "ost ") {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// FuzzFaultedEnginesMatch is the coverage-guided form of the faulted
+// cross-check: the fuzz input picks the topology (nodes, ranks per
+// node), the fault schedule (seed, rate, plain/gray/corruption
+// profile), the strategy and the direction of an interleaved workload,
+// and both engines must price it identically — errors included. The
+// seed corpus holds the cells of TestFaultedEnginesMatchCrash.
+func FuzzFaultedEnginesMatch(f *testing.F) {
+	for _, rate := range []uint8{5, 8} {
+		for strategy := uint8(0); strategy < 2; strategy++ {
+			for op := uint8(0); op < 2; op++ {
+				f.Add(uint8(4), uint8(4), uint64(3), rate, uint8(0), strategy, op)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, nodes, perNode uint8, seed uint64, rate, profile, strategy, op uint8) {
+		n, per := 1+int(nodes%8), 1+int(perNode%4)
+		ctx := testContext(t, n*per, per, 8, 8<<10)
+		reqs := interleavedReqs(n * per)
+		opt := sim.DefaultOptions()
+		opt.Trace = true
+		strat := []string{"two-phase", "memory-conscious"}[strategy%2]
+		ref := priceFaultedBoth(t, ctx, strat, reqs, collio.Write, opt,
+			faults.DefaultSpec(seed, 1).WithRate(0))
+		horizon := ref.Seconds * 4
+		if horizon <= 0 {
+			horizon = 1
+		}
+		spec := faults.DefaultSpec(seed, horizon).WithRate(float64(rate % 10))
+		switch intensity := 1 + float64(rate%4); profile % 3 {
+		case 1:
+			spec = spec.WithGray(intensity)
+		case 2:
+			spec = spec.WithCorruption(intensity)
+		}
+		priceFaultedBoth(t, ctx, strat, reqs, []collio.Op{collio.Write, collio.Read}[op%2], opt, spec)
+	})
 }

@@ -23,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -88,7 +89,8 @@ type Options struct {
 	// Off by default: operations can run hundreds of rounds.
 	Trace bool
 	// MemCopyFactor is how many times each shuffled byte crosses a node's
-	// DRAM (copy into the aggregation buffer and out to the NIC ≈ 2).
+	// DRAM (copy into the aggregation buffer and out to the NIC ≈ 2). It
+	// must be a whole number (see Validate).
 	MemCopyFactor float64
 	// NahOpt is the number of aggregators one node can host before
 	// off-chip contention degrades bandwidth (the paper's N_ah).
@@ -113,6 +115,10 @@ func (o Options) Validate() error {
 	switch {
 	case o.MemCopyFactor <= 0:
 		return fmt.Errorf("sim: MemCopyFactor must be positive")
+	case o.MemCopyFactor != math.Trunc(o.MemCopyFactor):
+		// With factor 1.5 two 3-byte messages charge 4+4 DRAM bytes but
+		// their 6-byte bundle charges 9.
+		return fmt.Errorf("sim: MemCopyFactor %g must be a whole number: the DRAM charge rounds once per message bundle, so a fractional factor prices bundled and per-rank rounds differently", o.MemCopyFactor)
 	case o.NahOpt <= 0:
 		return fmt.Errorf("sim: NahOpt must be positive")
 	case o.ContentionBeta < 0:
@@ -668,17 +674,17 @@ type AggRound struct {
 // RunAggRound prices one aggregate round and accumulates it into the
 // totals, exactly as if RunRound had been fed the constituent
 // point-to-point messages. The engine reduces messages to per-node byte
-// loads before pricing, so the only rounding difference is the DRAM
-// charge int64(MemCopyFactor*bytes), computed once per bundle instead of
-// once per message: for integral MemCopyFactor (the default 2) the two
-// are bit-identical; otherwise they differ by at most one byte per
-// constituent message.
+// loads before pricing, and the DRAM charge int64(MemCopyFactor*bytes),
+// computed once per bundle instead of once per message, is linear
+// because Options.Validate admits only integral MemCopyFactor values —
+// so the two are bit-identical.
 func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false) }
 
 // RunAggRecoveryRound is RunAggRound attributed to recovery: the
-// aggregate form of RunRecoveryRound, used by the fault-aware fast path
-// to price a metadata re-exchange after a failover as per-node bundles
-// instead of one message per surviving contributor.
+// aggregate form of RunRecoveryRound, used by the faulted cost loop to
+// price a metadata re-exchange after a failover (as per-node bundles on
+// the fast path, one message per surviving contributor on the byte
+// path).
 func (e *Engine) RunAggRecoveryRound(r AggRound) RoundCost { return e.runAggRound(r, true) }
 
 func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
@@ -792,8 +798,8 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 // its own entry and the exchange totals (minus its intra-node share), so
 // the cost is linear in endpoints. Per-node sums equal what accMessage
 // over the dense (src, dst) product would produce; as with AggMessage
-// bundles, the DRAM charge rounds once per aggregate, bit-identical for
-// integral MemCopyFactor. Returns the total bytes moved and the number
+// bundles, the DRAM charge is computed once per aggregate, bit-identical
+// because MemCopyFactor is integral. Returns the total bytes moved and the number
 // of constituent point-to-point messages.
 func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 	var slots int64
