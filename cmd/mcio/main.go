@@ -836,7 +836,11 @@ func fig4(w io.Writer) error {
 			Extents: []pfs.Extent{{Offset: int64(r) * 300, Length: 300}},
 		})
 	}
-	for _, g := range core.DivideGroups(ctx, reqs) {
+	groups, err := core.DivideGroups(ctx, reqs)
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
 		ranks := make([]string, len(g.Ranks))
 		for i, r := range g.Ranks {
 			ranks[i] = fmt.Sprintf("P%d", r)

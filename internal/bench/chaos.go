@@ -187,22 +187,19 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// and occasional cross-rank overlaps.
 		blocks := 16 + r.Intn(17)
 		blockLen := int64(24 + r.Intn(101))
-		reqs := make([]collio.RankRequest, ranks)
-		for i := range reqs {
-			reqs[i].Rank = i
-		}
+		owners := make([][]int, blocks)
 		for i, b := range r.Perm(blocks) {
 			if r.Float64() < 0.15 {
 				continue // hole
 			}
-			ext := pfs.Extent{Offset: int64(b) * blockLen, Length: blockLen}
-			reqs[i%ranks].Extents = append(reqs[i%ranks].Extents, ext)
+			owners[b] = append(owners[b], i%ranks)
 			if r.Float64() < 0.1 {
 				// Overlap: a second rank claims the same block; rank order
 				// decides the outcome, identically in executor and oracle.
-				reqs[(i+1)%ranks].Extents = append(reqs[(i+1)%ranks].Extents, ext)
+				owners[b] = append(owners[b], (i+1)%ranks)
 			}
 		}
+		reqs := blockRequests(ranks, owners, blockLen)
 
 		// Corruption schedule and its data-level replayer.
 		spec := faults.DefaultSpec(opSeed, 1).WithRate(0).WithCorruption(cfg.Rate)
@@ -285,7 +282,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			buf := make([]byte, reqs[i].Bytes())
 			fillChaosPattern(op, i, buf)
 			data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range reqs[i].Extents {
 				if e.End() > size {
 					size = e.End()
 				}
@@ -294,7 +291,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		oracle := make([]byte, size)
 		for i := range data {
 			var pos int64
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range reqs[i].Extents {
 				copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
 				pos += e.Length
 			}
@@ -367,7 +364,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		readCheck:
 			for i := range readData {
 				var pos int64
-				for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+				for _, e := range reqs[i].Extents {
 					if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
 						fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
 						break readCheck
@@ -397,6 +394,24 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 	o.Counter("chaos.degraded_ops").Add(int64(rep.ShrunkOps + rep.IndependentOps))
 	cViol.Add(int64(len(rep.Violations)))
 	return rep, nil
+}
+
+// blockRequests builds one canonical request per rank from a block deal:
+// owners[b] lists the distinct ranks claiming block b, the blockLen bytes
+// at b*blockLen. Walking the blocks in file order emits each rank's list
+// sorted, with touching blocks merged.
+func blockRequests(ranks int, owners [][]int, blockLen int64) []collio.RankRequest {
+	reqs := make([]collio.RankRequest, ranks)
+	for i := range reqs {
+		reqs[i].Rank = i
+	}
+	for b, claim := range owners {
+		ext := pfs.Extent{Offset: int64(b) * blockLen, Length: blockLen}
+		for _, rank := range claim {
+			reqs[rank].Extents = pfs.AppendExtent(reqs[rank].Extents, ext)
+		}
+	}
+	return reqs
 }
 
 // fillChaosPattern fills a rank buffer with bytes derived from the op,

@@ -364,17 +364,14 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 	// Small permuted-block workload (the shuffle moves real bytes).
 	blocks := 12 + r.Intn(9)
 	blockLen := int64(24 + r.Intn(81))
-	reqs := make([]collio.RankRequest, ranks)
-	for i := range reqs {
-		reqs[i].Rank = i
-	}
+	owners := make([][]int, blocks)
 	for i, b := range r.Perm(blocks) {
 		if r.Float64() < 0.1 {
 			continue // hole
 		}
-		ext := pfs.Extent{Offset: int64(b) * blockLen, Length: blockLen}
-		reqs[i%ranks].Extents = append(reqs[i%ranks].Extents, ext)
+		owners[b] = append(owners[b], i%ranks)
 	}
+	reqs := blockRequests(ranks, owners, blockLen)
 
 	spec := faults.DefaultSpec(opSeed, 1).WithRate(0).WithCorruption(cfg.Rate)
 	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
@@ -408,7 +405,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 		buf := make([]byte, reqs[i].Bytes())
 		fillChaosPattern(op, i, buf)
 		data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-		for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+		for _, e := range reqs[i].Extents {
 			if e.End() > size {
 				size = e.End()
 			}
@@ -417,7 +414,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 	oracle := make([]byte, size)
 	for i := range data {
 		var pos int64
-		for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+		for _, e := range reqs[i].Extents {
 			copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
 			pos += e.Length
 		}
@@ -467,7 +464,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 		}
 		for i := range readData {
 			var pos int64
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range reqs[i].Extents {
 				if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
 					fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
 					return nil

@@ -20,6 +20,7 @@ package collio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -49,13 +50,56 @@ func (o Op) String() string {
 
 // RankRequest is one rank's declared access: the file-space extents its
 // file view resolves to for this collective call.
+//
+// Extents must be canonical (pfs.IsNormalized): every extent non-empty,
+// ascending by offset, and neither overlapping nor touching its
+// predecessor. An empty list is canonical — a rank may sit out a call.
+// Requests become canonical where they are built (file-view flattening,
+// the workload generators); every layer below reads them as they are.
+// CheckRequests enforces the contract at planning, at Plan.Validate and
+// at the plan-free entry points, and rejects a non-canonical request
+// with an error naming the rank; nothing repairs one silently.
 type RankRequest struct {
 	Rank    int
 	Extents []pfs.Extent
 }
 
 // Bytes returns the total data bytes of the request.
-func (r RankRequest) Bytes() int64 { return pfs.TotalBytes(pfs.NormalizeExtents(r.Extents)) }
+func (r RankRequest) Bytes() int64 { return pfs.TotalBytes(r.Extents) }
+
+// CheckRequests is the one gate requests pass on their way in: it checks
+// that every request names a rank in [0, nranks) and carries canonical
+// extents, and returns the sorted, merged union of all requests'
+// extents — the aggregate access region planners divide.
+func CheckRequests(nranks int, reqs []RankRequest) ([]pfs.Extent, error) {
+	n := 0
+	for _, r := range reqs {
+		if r.Rank < 0 || r.Rank >= nranks {
+			return nil, fmt.Errorf("collio: request for invalid rank %d", r.Rank)
+		}
+		if err := checkExtents(r.Rank, r.Extents); err != nil {
+			return nil, err
+		}
+		n += len(r.Extents)
+	}
+	all := make([]pfs.Extent, 0, n)
+	for _, r := range reqs {
+		all = append(all, r.Extents...)
+	}
+	return pfs.Coalesce(all), nil
+}
+
+// checkExtents reports the first extent of rank's request that breaks
+// the canonical form.
+func checkExtents(rank int, exts []pfs.Extent) error {
+	for i, e := range exts {
+		if e.Length <= 0 || (i > 0 && e.Offset <= exts[i-1].End()) {
+			return fmt.Errorf("collio: rank %d extent %d %+v is empty, out of order, or overlaps or touches "+
+				"its predecessor; normalize the list (pfs.NormalizeExtents) where the request is built", rank, i, e)
+		}
+	}
+	return nil
+}
 
 // Params carries the tunables the paper names.
 type Params struct {
@@ -217,19 +261,24 @@ func (p *Plan) TotalBytes() int64 {
 }
 
 // Validate checks the structural invariants every plan must satisfy:
-// domains are non-empty, disjoint, sorted, and they exactly cover the
-// union of the requested extents.
+// the requests pass CheckRequests; domains are non-empty, canonical,
+// disjoint and sorted; and they exactly cover the union of the requested
+// extents.
 func (p *Plan) Validate(reqs []RankRequest) error {
-	var all []pfs.Extent
-	for _, r := range reqs {
-		all = append(all, r.Extents...)
+	want, err := CheckRequests(math.MaxInt, reqs)
+	if err != nil {
+		return err
 	}
-	want := pfs.NormalizeExtents(all)
-	var got []pfs.Extent
+	// Domains are required in file order, so their extents coalesce into
+	// the covered region in one pass.
+	got := make([]pfs.Extent, 0, len(want))
 	var prevEnd int64 = -1
 	for i, d := range p.Domains {
 		if len(d.Extents) == 0 || d.Bytes == 0 {
 			return fmt.Errorf("collio: plan %s: domain %d is empty", p.Strategy, i)
+		}
+		if !pfs.IsNormalized(d.Extents) {
+			return fmt.Errorf("collio: plan %s: domain %d extents are not canonical", p.Strategy, i)
 		}
 		if d.Bytes != pfs.TotalBytes(d.Extents) {
 			return fmt.Errorf("collio: plan %s: domain %d bytes %d != extents %d",
@@ -249,17 +298,18 @@ func (p *Plan) Validate(reqs []RankRequest) error {
 			return fmt.Errorf("collio: plan %s: domain %d group %d outside [0,%d)",
 				p.Strategy, i, d.Group, p.Groups)
 		}
-		got = append(got, d.Extents...)
+		for _, e := range d.Extents {
+			got = pfs.AppendExtent(got, e)
+		}
 	}
-	gotNorm := pfs.NormalizeExtents(got)
-	if len(gotNorm) != len(want) {
+	if len(got) != len(want) {
 		return fmt.Errorf("collio: plan %s: domains cover %d extents, requests need %d",
-			p.Strategy, len(gotNorm), len(want))
+			p.Strategy, len(got), len(want))
 	}
 	for i := range want {
-		if gotNorm[i] != want[i] {
+		if got[i] != want[i] {
 			return fmt.Errorf("collio: plan %s: coverage mismatch at extent %d: %v != %v",
-				p.Strategy, i, gotNorm[i], want[i])
+				p.Strategy, i, got[i], want[i])
 		}
 	}
 	return nil

@@ -113,24 +113,35 @@ func TestPlanValidateAccepts(t *testing.T) {
 }
 
 func TestPlanValidateRejects(t *testing.T) {
-	mutations := map[string]func(p *Plan){
-		"empty domain":   func(p *Plan) { p.Domains[0].Extents = nil; p.Domains[0].Bytes = 0 },
-		"bytes mismatch": func(p *Plan) { p.Domains[0].Bytes = 999 },
-		"no buffer":      func(p *Plan) { p.Domains[0].BufferBytes = 0 },
-		"overlap": func(p *Plan) {
+	mutations := map[string]func(p *Plan, reqs *[]RankRequest){
+		"empty domain":   func(p *Plan, _ *[]RankRequest) { p.Domains[0].Extents = nil; p.Domains[0].Bytes = 0 },
+		"bytes mismatch": func(p *Plan, _ *[]RankRequest) { p.Domains[0].Bytes = 999 },
+		"no buffer":      func(p *Plan, _ *[]RankRequest) { p.Domains[0].BufferBytes = 0 },
+		"overlap": func(p *Plan, _ *[]RankRequest) {
 			p.Domains[1].Extents = []pfs.Extent{{Offset: 100, Length: 100}}
 			p.Domains[1].Bytes = 100
 		},
-		"no aggregator": func(p *Plan) { p.Domains[0].Aggregator = -1 },
-		"bad group":     func(p *Plan) { p.Domains[0].Group = 5 },
-		"coverage hole": func(p *Plan) {
+		"no aggregator": func(p *Plan, _ *[]RankRequest) { p.Domains[0].Aggregator = -1 },
+		"bad group":     func(p *Plan, _ *[]RankRequest) { p.Domains[0].Group = 5 },
+		"coverage hole": func(p *Plan, _ *[]RankRequest) {
 			p.Domains[1].Extents = []pfs.Extent{{Offset: 120, Length: 70}}
 			p.Domains[1].Bytes = 70
 		},
+		// The union covers the 15 requested bytes, but the domain's own
+		// extents overlap and it claims 20.
+		"overlap inside one domain": func(p *Plan, reqs *[]RankRequest) {
+			*reqs = []RankRequest{{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 15}}}}
+			p.Domains = []Domain{{Extents: []pfs.Extent{{Offset: 0, Length: 10}, {Offset: 5, Length: 10}},
+				Bytes: 20, Aggregator: 0, BufferBytes: 64}}
+		},
+		"non-canonical request": func(_ *Plan, reqs *[]RankRequest) {
+			(*reqs)[1].Extents = []pfs.Extent{{Offset: 150, Length: 50}, {Offset: 100, Length: 50}}
+		},
+		"negative rank": func(_ *Plan, reqs *[]RankRequest) { (*reqs)[1].Rank = -1 },
 	}
 	for name, mutate := range mutations {
 		plan, reqs := validPlan()
-		mutate(plan)
+		mutate(plan, &reqs)
 		if err := plan.Validate(reqs); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -62,22 +62,10 @@ type RankData struct {
 // overwritten by higher ranks, matching the unspecified outcome MPI gives
 // concurrent overlapping collective writes.
 func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) error {
-	if err := ctx.Validate(); err != nil {
+	if err := checkRankData(ctx, data, "Exec"); err != nil {
 		return err
 	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: Exec got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
-
-	normReq, scheds := buildScheds(plan, data)
+	scheds := buildScheds(plan, data)
 
 	world := mpi.NewWorld(ctx.Topo)
 	world.SetObserver(ctx.Obs)
@@ -96,7 +84,7 @@ func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) erro
 				// Contributors ship their overlap bytes to the aggregator,
 				// which releases the chunk once scattered.
 				if myIdx >= 0 && me != d.Aggregator {
-					p.Send(d.Aggregator, i, gather(normReq[me], data[me].Buf, sched.overlap[myIdx]))
+					p.Send(d.Aggregator, i, gather(data[me].Req.Extents, data[me].Buf, sched.overlap[myIdx]))
 				}
 				if me != d.Aggregator {
 					continue
@@ -108,7 +96,7 @@ func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) erro
 				for j, r := range sched.contributors {
 					var chunk []byte
 					if r == me {
-						chunk = gather(normReq[me], data[me].Buf, sched.overlap[j])
+						chunk = gather(data[me].Req.Extents, data[me].Buf, sched.overlap[j])
 					} else {
 						chunk = p.Recv(r, i)
 					}
@@ -140,7 +128,7 @@ func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) erro
 				for j, r := range sched.contributors {
 					chunk := gather(d.Extents, domBuf, sched.overlap[j])
 					if r == me {
-						scatter(normReq[me], data[me].Buf, sched.overlap[j], chunk)
+						scatter(data[me].Req.Extents, data[me].Buf, sched.overlap[j], chunk)
 						putStage(chunk)
 					} else {
 						p.Send(r, i, chunk)
@@ -150,7 +138,7 @@ func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) erro
 			}
 			if myIdx >= 0 && me != d.Aggregator {
 				chunk := p.Recv(d.Aggregator, i)
-				scatter(normReq[me], data[me].Buf, sched.overlap[myIdx], chunk)
+				scatter(data[me].Req.Extents, data[me].Buf, sched.overlap[myIdx], chunk)
 				putStage(chunk)
 			}
 		}
@@ -164,27 +152,47 @@ type domSched struct {
 	overlap      [][]pfs.Extent // indexed like contributors
 }
 
+// checkRankData checks the rank buffers of a data-moving call: one per
+// rank in rank order, each request canonical, each buffer exactly the
+// request's bytes.
+func checkRankData(ctx *Context, data []RankData, call string) error {
+	if err := ctx.Validate(); err != nil {
+		return err
+	}
+	if len(data) != ctx.Topo.Size() {
+		return fmt.Errorf("collio: %s got %d rank buffers for %d ranks", call, len(data), ctx.Topo.Size())
+	}
+	for r, d := range data {
+		if d.Req.Rank != r {
+			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
+		}
+		if err := checkExtents(r, d.Req.Extents); err != nil {
+			return err
+		}
+		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
+			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
+		}
+	}
+	return nil
+}
+
 // buildScheds precomputes, per domain, each contributing rank's overlap —
 // every rank derives the identical schedule, as real two-phase code does
 // from the allgathered offset lists.
-func buildScheds(plan *Plan, data []RankData) (normReq [][]pfs.Extent, scheds []domSched) {
-	normReq = make([][]pfs.Extent, len(data))
-	for r := range data {
-		normReq[r] = pfs.NormalizeExtents(data[r].Req.Extents)
-	}
-	scheds = make([]domSched, len(plan.Domains))
+func buildScheds(plan *Plan, data []RankData) []domSched {
+	scheds := make([]domSched, len(plan.Domains))
 	for i, d := range plan.Domains {
 		ranks := append([]int(nil), plan.GroupRanks[d.Group]...)
 		sort.Ints(ranks)
 		for _, r := range ranks {
-			ov := pfs.Intersect(normReq[r], d.Extents)
+			ov := pfs.Intersect(data[r].Req.Extents, d.Extents)
 			if len(ov) > 0 {
 				scheds[i].contributors = append(scheds[i].contributors, r)
 				scheds[i].overlap = append(scheds[i].overlap, ov)
 			}
 		}
 	}
-	return normReq, scheds
+	return scheds
 }
 
 // dataPos returns the data-space position of file offset off within the

@@ -43,8 +43,9 @@ func NewExtentIndex(buckets [][]pfs.Extent) *ExtentIndex {
 	return idx
 }
 
-// OverlapBytes returns the bytes of exts (normalized or not) landing in
-// each bucket, indexed by bucket id.
+// OverlapBytes returns the bytes of exts landing in each bucket, indexed
+// by bucket id. Like every query of the index, exts must be canonical
+// (pfs.IsNormalized), as collective requests are.
 func (x *ExtentIndex) OverlapBytes(exts []pfs.Extent) []int64 {
 	return x.OverlapBytesInto(nil, exts)
 }
@@ -64,13 +65,9 @@ type BucketBytes struct {
 // pricing a million-rank operation and timing out on it.
 func (x *ExtentIndex) OverlapAppend(dst []BucketBytes, exts []pfs.Extent) []BucketBytes {
 	base := len(dst)
-	norm := exts
-	if !pfs.IsNormalized(exts) {
-		norm = pfs.NormalizeExtents(exts)
-	}
 	i, j := 0, 0
-	for i < len(norm) && j < len(x.flat) {
-		a := norm[i]
+	for i < len(exts) && j < len(x.flat) {
+		a := exts[i]
 		if x.flat[j].End() <= a.Offset {
 			// Gallop past the bucket extents wholly before this request
 			// extent: a sparse request touching k of n flat extents costs
@@ -110,9 +107,7 @@ func (x *ExtentIndex) OverlapAppend(dst []BucketBytes, exts []pfs.Extent) []Buck
 // OverlapBytesInto is OverlapBytes with a caller-owned scratch slice:
 // dst is grown (or allocated when nil/too small), zeroed, filled and
 // returned, so a caller querying many requests against one index reuses
-// a single allocation. Extents already in canonical form take a fast
-// path that skips the normalizing copy entirely — request lists in the
-// hot paths are generated normalized.
+// a single allocation.
 func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
 	if cap(dst) < x.n {
 		dst = make([]int64, x.n)
@@ -121,13 +116,9 @@ func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
 		clear(dst)
 	}
 	out := dst
-	norm := exts
-	if !pfs.IsNormalized(exts) {
-		norm = pfs.NormalizeExtents(exts)
-	}
 	i, j := 0, 0
-	for i < len(norm) && j < len(x.flat) {
-		a, b := norm[i], x.flat[j]
+	for i < len(exts) && j < len(x.flat) {
+		a, b := exts[i], x.flat[j]
 		lo := a.Offset
 		if b.Offset > lo {
 			lo = b.Offset

@@ -87,6 +87,7 @@ func TestExtentIndexMatchesNaive(t *testing.T) {
 		for i := 0; i < rr.Intn(8)+1; i++ {
 			query = append(query, pfs.Extent{Offset: rr.Int63n(int64(cur)), Length: rr.Int63n(60)})
 		}
+		query = pfs.NormalizeExtents(query) // queries are canonical requests
 		idx := NewExtentIndex(buckets)
 		got := idx.OverlapBytes(query)
 		for b := range buckets {

@@ -8,12 +8,12 @@ import (
 
 // FuzzExtentIndexOverlapBytes cross-checks the merge-walk against the
 // naive per-bucket intersection for arbitrary bucket shapes and arbitrary
-// (possibly unnormalized) queries, and checks OverlapBytesInto's scratch
-// reuse agrees with the allocating path.
+// canonical queries, and checks OverlapBytesInto's scratch reuse agrees
+// with the allocating path.
 func FuzzExtentIndexOverlapBytes(f *testing.F) {
 	// Seed corpus: a plain interleave, an adjacency-heavy layout, a
-	// single-bucket index with an empty/overlapping query, and an empty
-	// query against many buckets.
+	// single-bucket index with a long query, and an empty query against
+	// many buckets.
 	f.Add([]byte{3, 10, 5, 8, 2, 12, 9, 4}, []byte{1, 20, 6, 0, 40, 9})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1}, []byte{0, 2, 1, 2, 2, 2})
 	f.Add([]byte{7, 30}, []byte{5, 0, 3, 15, 3, 15})
@@ -38,16 +38,19 @@ func FuzzExtentIndexOverlapBytes(f *testing.F) {
 		if len(exts) > 0 {
 			buckets = append(buckets, exts)
 		}
-		// Decode the query: byte pairs are (offset, length) with no
-		// constraints — empty, overlapping and unsorted extents exercise
-		// the normalizing slow path.
+		// Decode the query as a canonical request: byte pairs are
+		// (gap, length), gaps of at least one byte keep extents from
+		// touching, and zero lengths are dropped.
 		var query []pfs.Extent
-		span := cur + 1
+		var pos int64
 		for i := 0; i+2 <= len(queryData); i += 2 {
-			query = append(query, pfs.Extent{
-				Offset: int64(queryData[i]) % span,
-				Length: int64(queryData[i+1]) % 50,
-			})
+			pos += int64(queryData[i]) + 1
+			length := int64(queryData[i+1]) % 50
+			query = pfs.AppendExtent(query, pfs.Extent{Offset: pos, Length: length})
+			pos += length
+		}
+		if !pfs.IsNormalized(query) {
+			t.Fatalf("decoded query %v is not canonical", query)
 		}
 
 		idx := NewExtentIndex(buckets)

@@ -10,7 +10,7 @@ import (
 
 // ExecIndependent really performs the requests as independent
 // (non-collective) I/O — the degradation ladder's last rung, used when no
-// aggregation plan can be placed. Each rank issues its own normalized
+// aggregation plan can be placed. Each rank issues its own canonical
 // extents straight against the file, serially in ascending rank order so
 // overlapping writes resolve exactly as Exec's aggregators would (higher
 // ranks overwrite lower ones). chk, when enabled, read-verifies each
@@ -18,27 +18,13 @@ import (
 // detected (and repaired) even with no aggregator in the loop; there is
 // no shuffle, so there are no messages to checksum.
 func ExecIndependent(ctx *Context, data []RankData, file *pfs.File, op Op, chk *integrity.Checker) error {
-	if err := ctx.Validate(); err != nil {
+	if err := checkRankData(ctx, data, "ExecIndependent"); err != nil {
 		return err
 	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: ExecIndependent got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
 	for r := range data {
-		norm := pfs.NormalizeExtents(data[r].Req.Extents)
-		if len(norm) == 0 {
-			continue
-		}
+		exts := data[r].Req.Extents
 		var pos int64
-		for _, e := range norm {
+		for _, e := range exts {
 			if op == Write {
 				if _, err := file.WriteAt(data[r].Buf[pos:pos+e.Length], e.Offset); err != nil {
 					return fmt.Errorf("collio: independent write rank %d: %w", r, err)
@@ -51,7 +37,7 @@ func ExecIndependent(ctx *Context, data []RankData, file *pfs.File, op Op, chk *
 			pos += e.Length
 		}
 		if op == Write && chk.Enabled() {
-			verifyWriteBack(file, norm, data[r].Buf, chk)
+			verifyWriteBack(file, exts, data[r].Buf, chk)
 		}
 	}
 	return nil
@@ -71,6 +57,9 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := CheckRequests(ctx.Topo.Size(), reqs); err != nil {
+		return nil, err
+	}
 	st := sim.StorageParams{
 		Targets:         ctx.FS.Targets,
 		TargetBW:        ctx.FS.TargetBW,
@@ -85,13 +74,12 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 	var round sim.Round
 	var userBytes int64
 	for _, r := range reqs {
-		norm := pfs.NormalizeExtents(r.Extents)
-		if len(norm) == 0 {
+		if len(r.Extents) == 0 {
 			continue
 		}
-		userBytes += pfs.TotalBytes(norm)
+		userBytes += r.Bytes()
 		node := ctx.Topo.NodeOf(r.Rank)
-		for _, acc := range ctx.FS.MapExtents(norm) {
+		for _, acc := range ctx.FS.MapExtents(r.Extents) {
 			round.IOOps = append(round.IOOps, sim.IOOp{
 				Target:     acc.Target,
 				Node:       node,

@@ -234,6 +234,9 @@ func TestRoundTripRandomPatterns(t *testing.T) {
 			reqs[r].Extents = append(reqs[r].Extents,
 				pfs.Extent{Offset: int64(b * blockLen), Length: blockLen})
 		}
+		for i := range reqs {
+			reqs[i].Extents = pfs.NormalizeExtents(reqs[i].Extents)
+		}
 		for _, s := range strategies() {
 			// roundTrip calls t.Fatalf on failure, which aborts the quick
 			// function; reaching the end means success.

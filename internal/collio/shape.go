@@ -227,16 +227,12 @@ func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*Co
 
 // metaInputs returns what the metadata exchange moves: each rank's
 // flattened extent-list payload in bytes (one wire record per
-// normalized extent) and each group's aggregator ranks, sorted and
+// extent) and each group's aggregator ranks, sorted and
 // deduplicated. Both engines' metadata builders start from it.
 func metaInputs(plan *Plan, reqs []RankRequest) (listBytes map[int]int64, aggsByGroup map[int][]int) {
 	listBytes = make(map[int]int64, len(reqs))
 	for _, r := range reqs {
-		n := len(r.Extents)
-		if !pfs.IsNormalized(r.Extents) {
-			n = len(pfs.NormalizeExtents(r.Extents))
-		}
-		listBytes[r.Rank] = int64(n) * extentListEntryBytes
+		listBytes[r.Rank] = int64(len(r.Extents)) * extentListEntryBytes
 	}
 	aggsByGroup = make(map[int][]int)
 	for _, d := range plan.Domains {

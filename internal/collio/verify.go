@@ -2,7 +2,6 @@ package collio
 
 import (
 	"bytes"
-	"fmt"
 
 	"mcio/internal/faults"
 	"mcio/internal/integrity"
@@ -57,22 +56,10 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 	if chk == nil && corr == nil {
 		return Exec(ctx, plan, data, file, op)
 	}
-	if err := ctx.Validate(); err != nil {
+	if err := checkRankData(ctx, data, "ExecVerified"); err != nil {
 		return err
 	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: ExecVerified got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
-
-	normReq, scheds := buildScheds(plan, data)
+	scheds := buildScheds(plan, data)
 	nd := len(plan.Domains)
 
 	world := mpi.NewWorld(ctx.Topo)
@@ -91,7 +78,7 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 			if op == Write {
 				if myIdx >= 0 && me != d.Aggregator {
 					sendVerified(p, d.Aggregator, nd, i, chk, corr,
-						func() []byte { return gather(normReq[me], data[me].Buf, sched.overlap[myIdx]) },
+						func() []byte { return gather(data[me].Req.Extents, data[me].Buf, sched.overlap[myIdx]) },
 						sched.overlap[myIdx])
 				}
 				if me != d.Aggregator {
@@ -104,7 +91,7 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 					var chunk []byte
 					if r == me {
 						// Local copy: no wire hop, nothing to corrupt or verify.
-						chunk = gather(normReq[me], data[me].Buf, ov)
+						chunk = gather(data[me].Req.Extents, data[me].Buf, ov)
 					} else {
 						chunk = recvVerified(p, r, nd, i, chk, ov, hed)
 					}
@@ -139,7 +126,7 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 					ov := sched.overlap[j]
 					if r == me {
 						chunk := gather(d.Extents, domBuf, ov)
-						scatter(normReq[me], data[me].Buf, ov, chunk)
+						scatter(data[me].Req.Extents, data[me].Buf, ov, chunk)
 						putStage(chunk)
 						continue
 					}
@@ -151,7 +138,7 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 			if myIdx >= 0 && me != d.Aggregator {
 				ov := sched.overlap[myIdx]
 				chunk := recvVerified(p, d.Aggregator, nd, i, chk, ov, hed)
-				scatter(normReq[me], data[me].Buf, ov, chunk)
+				scatter(data[me].Req.Extents, data[me].Buf, ov, chunk)
 				putStage(chunk)
 			}
 		}

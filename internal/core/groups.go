@@ -35,26 +35,23 @@ type Group struct {
 // swallow it (the paper defers these to file-view analysis), the extension
 // is capped at half a group: boundaries fall back to pure offset
 // calculation, dividing the file region into MsgGroup-sized windows.
-func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
-	var all []pfs.Extent
-	normReq := make(map[int][]pfs.Extent, len(reqs))
-	for _, r := range reqs {
-		n := pfs.NormalizeExtents(r.Extents)
-		if len(n) > 0 {
-			normReq[r.Rank] = n
-			all = append(all, n...)
-		}
-	}
-	norm := pfs.NormalizeExtents(all)
-	if len(norm) == 0 {
-		return nil
+//
+// Requests must pass collio.CheckRequests; the error is its verdict.
+func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) ([]Group, error) {
+	norm, err := collio.CheckRequests(ctx.Topo.Size(), reqs)
+	if err != nil || len(norm) == 0 {
+		return nil, err
 	}
 
 	// Per-node data span (lowest start, highest end over the node's ranks).
 	type span struct{ lo, hi int64 }
 	nodeSpan := map[int]span{}
-	for rank, exts := range normReq {
-		node := ctx.Topo.NodeOf(rank)
+	for _, r := range reqs {
+		exts := r.Extents
+		if len(exts) == 0 {
+			continue
+		}
+		node := ctx.Topo.NodeOf(r.Rank)
 		s, ok := nodeSpan[node]
 		if !ok {
 			s = span{lo: exts[0].Offset, hi: exts[len(exts)-1].End()}
@@ -158,10 +155,10 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 	windowOf := func(x int64) int {
 		return sort.Search(len(groups), func(i int) bool { return groups[i].Region.End() > x })
 	}
-	for rank, exts := range normReq {
-		for _, e := range exts {
+	for _, r := range reqs {
+		for _, e := range r.Extents {
 			for w, wj := windowOf(e.Offset), windowOf(e.End()-1); w <= wj; w++ {
-				groups[w].Ranks = append(groups[w].Ranks, rank)
+				groups[w].Ranks = append(groups[w].Ranks, r.Rank)
 			}
 		}
 	}
@@ -176,5 +173,5 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 		}
 		groups[i].Ranks = dedup
 	}
-	return groups
+	return groups, nil
 }

@@ -125,8 +125,9 @@ func TestDivideGroupsMatchesNaive(t *testing.T) {
 					Length: int64(rng.Intn(2 << 10)),
 				})
 			}
+			reqs[r].Extents = pfs.NormalizeExtents(reqs[r].Extents)
 		}
-		got := DivideGroups(ctx, reqs)
+		got := divide(t, ctx, reqs)
 		want := divideGroupsNaive(ctx, reqs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (msgGroup=%d): groups diverge\ngot:  %+v\nwant: %+v",

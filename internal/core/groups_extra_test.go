@@ -12,7 +12,7 @@ func TestDivideGroupsSingleRank(t *testing.T) {
 	reqs := []collio.RankRequest{
 		{Rank: 4, Extents: []pfs.Extent{{Offset: 1000, Length: 5000}}},
 	}
-	groups := DivideGroups(ctx, reqs)
+	groups := divide(t, ctx, reqs)
 	if len(groups) == 0 {
 		t.Fatal("no groups")
 	}
@@ -38,7 +38,7 @@ func TestDivideGroupsWithFileGaps(t *testing.T) {
 		{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 4000}}},
 		{Rank: 8, Extents: []pfs.Extent{{Offset: 1 << 20, Length: 4000}}},
 	}
-	groups := DivideGroups(ctx, reqs)
+	groups := divide(t, ctx, reqs)
 	var total int64
 	for _, g := range groups {
 		total += pfs.TotalBytes(g.Extents)
@@ -55,7 +55,7 @@ func TestDivideGroupsTinyMsgGroup(t *testing.T) {
 	params.MsgGroup = 10
 	ctx := fig4Context(t, params, nil)
 	reqs := serialRequests(9, 300)
-	groups := DivideGroups(ctx, reqs)
+	groups := divide(t, ctx, reqs)
 	var total int64
 	for i, g := range groups {
 		if pfs.TotalBytes(g.Extents) == 0 {

@@ -34,11 +34,6 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 	if err := ctx.Validate(); err != nil {
 		return nil, nil, err
 	}
-	for _, r := range reqs {
-		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
-			return nil, nil, fmt.Errorf("core: request for invalid rank %d", r.Rank)
-		}
-	}
 	// Determine the effective Msg_ind for this machine state, as §3's
 	// parameter-determination step does: a file domain must be backed by
 	// an aggregation buffer, so the domain count cannot usefully exceed
@@ -49,7 +44,10 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 	effCtx.Params = capacityParams(ctx, reqs)
 	ctx = &effCtx
 
-	groups := DivideGroups(ctx, reqs)
+	groups, err := DivideGroups(ctx, reqs)
+	if err != nil {
+		return nil, nil, err
+	}
 	plan := &collio.Plan{Strategy: s.Name(), Groups: len(groups)}
 	state := &RecoveryState{
 		leafDomain: make(map[*TreeNode]int),
@@ -61,10 +59,10 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 		return plan, state, nil
 	}
 
-	normReq := make(map[int][]pfs.Extent, len(reqs))
+	byRank := make([][]pfs.Extent, ctx.Topo.Size())
 	for _, r := range reqs {
-		if n := pfs.NormalizeExtents(r.Extents); len(n) > 0 {
-			normReq[r.Rank] = n
+		if len(r.Extents) > 0 {
+			byRank[r.Rank] = r.Extents
 		}
 	}
 
@@ -86,7 +84,7 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 			ctx.Obs.Histogram("plan.group_bytes", strategyLabel).Observe(float64(pfs.TotalBytes(g.Extents)))
 			ctx.Obs.Histogram("plan.tree_leaves", strategyLabel).Observe(float64(len(tree.Leaves())))
 		}
-		domains, leaves, err := s.placeGroup(ctx, tree, g, normReq, tracker, aggsOnHost)
+		domains, leaves, err := s.placeGroup(ctx, tree, g, byRank, tracker, aggsOnHost)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -113,7 +111,7 @@ func (s *Strategy) placeGroup(
 	ctx *collio.Context,
 	tree *PartitionTree,
 	g Group,
-	normReq map[int][]pfs.Extent,
+	byRank [][]pfs.Extent,
 	tracker *memmodel.Tracker,
 	aggsOnHost map[int]int,
 ) ([]collio.Domain, []*TreeNode, error) {
@@ -134,7 +132,7 @@ func (s *Strategy) placeGroup(
 		}
 		index := collio.NewExtentIndex(buckets)
 		for _, r := range g.Ranks {
-			exts := normReq[r]
+			exts := byRank[r]
 			if len(exts) == 0 {
 				continue
 			}

@@ -43,6 +43,16 @@ func serialRequests(n int, size int64) []collio.RankRequest {
 	return reqs
 }
 
+// divide runs DivideGroups on requests the test built canonical.
+func divide(t *testing.T, ctx *collio.Context, reqs []collio.RankRequest) []Group {
+	t.Helper()
+	groups, err := DivideGroups(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
+}
+
 func TestDivideGroupsFig4(t *testing.T) {
 	// 9 ranks x 300 bytes serial. MsgGroup = 800: the tentative boundary
 	// after 800 bytes falls inside node 0's third rank (bytes 600..900),
@@ -53,7 +63,7 @@ func TestDivideGroupsFig4(t *testing.T) {
 	params.MsgInd = 300
 	ctx := fig4Context(t, params, nil)
 	reqs := serialRequests(9, 300)
-	groups := DivideGroups(ctx, reqs)
+	groups := divide(t, ctx, reqs)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3: %+v", len(groups), groups)
 	}
@@ -90,7 +100,7 @@ func TestDivideGroupsInterleavedFallsBackToOffsets(t *testing.T) {
 		}
 		reqs = append(reqs, collio.RankRequest{Rank: r, Extents: exts})
 	}
-	groups := DivideGroups(ctx, reqs)
+	groups := divide(t, ctx, reqs)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3", len(groups))
 	}
@@ -106,10 +116,10 @@ func TestDivideGroupsInterleavedFallsBackToOffsets(t *testing.T) {
 
 func TestDivideGroupsEmpty(t *testing.T) {
 	ctx := fig4Context(t, collio.DefaultParams(100), nil)
-	if g := DivideGroups(ctx, nil); g != nil {
+	if g := divide(t, ctx, nil); g != nil {
 		t.Fatalf("groups of nothing = %v", g)
 	}
-	if g := DivideGroups(ctx, []collio.RankRequest{{Rank: 0}}); g != nil {
+	if g := divide(t, ctx, []collio.RankRequest{{Rank: 0}}); g != nil {
 		t.Fatalf("groups of empty request = %v", g)
 	}
 }

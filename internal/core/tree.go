@@ -54,20 +54,23 @@ type PartitionTree struct {
 	Root *TreeNode
 }
 
-// BuildTree recursively bisects the data in exts until every portion holds
-// at most msgInd bytes. Bisection is by data volume, not file span, so
-// sparse regions produce few large-span domains and dense regions many
-// small ones — "different number of file domains will be generated in each
-// group depending on the amount and distribution of data" (§3.2).
+// BuildTree recursively bisects the data in exts, which must be canonical
+// (pfs.IsNormalized), until every portion holds at most msgInd bytes.
+// Bisection is by data volume, not file span, so sparse regions produce
+// few large-span domains and dense regions many small ones — "different
+// number of file domains will be generated in each group depending on
+// the amount and distribution of data" (§3.2).
 func BuildTree(exts []pfs.Extent, msgInd int64) (*PartitionTree, error) {
 	if msgInd <= 0 {
 		return nil, fmt.Errorf("core: msgInd %d must be positive", msgInd)
 	}
-	norm := pfs.NormalizeExtents(exts)
-	if len(norm) == 0 {
+	if !pfs.IsNormalized(exts) {
+		return nil, fmt.Errorf("core: partition-tree extents are not canonical")
+	}
+	if len(exts) == 0 {
 		return &PartitionTree{}, nil
 	}
-	return &PartitionTree{Root: buildNode(norm, msgInd)}, nil
+	return &PartitionTree{Root: buildNode(exts, msgInd)}, nil
 }
 
 func buildNode(exts []pfs.Extent, msgInd int64) *TreeNode {

@@ -7,6 +7,7 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/core"
+	"mcio/internal/layoutaware"
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
 	"mcio/internal/pfs"
@@ -105,6 +106,23 @@ func TestFastMatchesByteInterleaved(t *testing.T) {
 	priceBoth(t, ctx, core.New(), reqs, opt)
 }
 
+// randomReqs draws sparse requests that may overlap across ranks, some
+// ranks idle; each list is made canonical, as a request builder does.
+func randomReqs(rng *rand.Rand, ranks int) []collio.RankRequest {
+	reqs := make([]collio.RankRequest, ranks)
+	for r := 0; r < ranks; r++ {
+		reqs[r].Rank = r
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
+				Offset: int64(rng.Intn(24 << 10)),
+				Length: int64(rng.Intn(3 << 10)),
+			})
+		}
+		reqs[r].Extents = pfs.NormalizeExtents(reqs[r].Extents)
+	}
+	return reqs
+}
+
 // TestFastMatchesByteRandom is the property test: random small seeded
 // topologies and workloads (sparse, overlapping, some ranks idle) must
 // price identically under both engines, strategies and directions.
@@ -116,20 +134,80 @@ func TestFastMatchesByteRandom(t *testing.T) {
 		targets := 1 + rng.Intn(8)
 		avail := int64(1+rng.Intn(32)) << 9
 		ctx := testContext(t, ranks, perNode, targets, avail)
-		reqs := make([]collio.RankRequest, ranks)
-		for r := 0; r < ranks; r++ {
-			reqs[r].Rank = r
-			for i, n := 0, rng.Intn(5); i < n; i++ {
-				reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
-					Offset: int64(rng.Intn(24 << 10)),
-					Length: int64(rng.Intn(3 << 10)),
-				})
-			}
-		}
+		reqs := randomReqs(rng, ranks)
 		opt := sim.DefaultOptions()
 		opt.Overlap = trial%2 == 0
 		opt.Trace = true
 		priceBoth(t, ctx, twophase.New(), reqs, opt)
 		priceBoth(t, ctx, core.New(), reqs, opt)
 	}
+}
+
+// FuzzEnginesMatch is the coverage-guided form of the clean cross-check.
+// The fuzz input picks the topology (nodes, ranks per node, storage
+// targets), the strategy, the direction and raw request lists: byte
+// triples (rank, offset, length), appended in input order and never
+// normalized, so unsorted, overlapping, touching and empty extents all
+// arise. Each engine runs the full path — plan, validate, price. A
+// non-canonical input must be rejected by both with the same error; a
+// canonical one must price to reflect.DeepEqual results.
+func FuzzEnginesMatch(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint8(4), uint8(0), uint8(0), []byte{0, 0, 8, 1, 1, 8, 2, 2, 8, 3, 3, 8})
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(1), uint8(1), []byte{0, 0, 40, 4, 5, 12, 8, 9, 30, 1, 20, 3})
+	f.Add(uint8(2), uint8(2), uint8(8), uint8(2), uint8(0), []byte{3, 10, 9, 1, 40, 7, 2, 2, 1})
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(1), uint8(0), []byte{0, 9, 4, 0, 2, 4})   // unsorted
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(0), uint8(1), []byte{1, 2, 16, 1, 3, 16}) // overlapping
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(2), uint8(0), []byte{0, 2, 8, 0, 3, 8})   // touching
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(0), uint8(0), []byte{0, 2, 0})            // empty extent
+	f.Fuzz(func(t *testing.T, nodes, perNode, targets, strategy, op uint8, data []byte) {
+		n, per := 1+int(nodes%6), 1+int(perNode%4)
+		ranks := n * per
+		ctx := testContext(t, ranks, per, 1+int(targets%8), 4<<10)
+		reqs := make([]collio.RankRequest, ranks)
+		for r := range reqs {
+			reqs[r].Rank = r
+		}
+		for i := 0; i+3 <= len(data); i += 3 {
+			r := int(data[i]) % ranks
+			reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
+				Offset: int64(data[i+1]) * 64,
+				Length: int64(data[i+2]%128) * 8,
+			})
+		}
+		canonical := true
+		for _, r := range reqs {
+			canonical = canonical && pfs.IsNormalized(r.Extents)
+		}
+		s := []collio.Strategy{twophase.New(), core.New(), layoutaware.New()}[strategy%3]
+		o := []collio.Op{collio.Write, collio.Read}[op%2]
+		opt := sim.DefaultOptions()
+		opt.Trace = true
+		price := func(cost func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op, sim.Options) (*collio.CostResult, error)) (*collio.CostResult, error) {
+			plan, err := s.Plan(ctx, reqs)
+			if err != nil {
+				return nil, err
+			}
+			if err := plan.Validate(reqs); err != nil {
+				return nil, err
+			}
+			return cost(ctx, plan, reqs, o, opt)
+		}
+		want, wantErr := price(collio.Cost)
+		got, gotErr := price(Cost)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("errors diverge: fast %v, byte %v", gotErr, wantErr)
+		}
+		if !canonical {
+			if wantErr == nil {
+				t.Fatalf("non-canonical requests priced: %+v", reqs)
+			}
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("canonical requests rejected: %v", wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %s: engines diverge\nfast: %+v\nbyte: %+v", s.Name(), o, got, want)
+		}
+	})
 }

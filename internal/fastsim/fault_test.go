@@ -162,16 +162,7 @@ func TestFaultedEnginesMatchRandom(t *testing.T) {
 		targets := 1 + rng.Intn(6)
 		avail := int64(1+rng.Intn(16)) << 9
 		ctx := testContext(t, ranks, perNode, targets, avail)
-		reqs := make([]collio.RankRequest, ranks)
-		for r := 0; r < ranks; r++ {
-			reqs[r].Rank = r
-			for i, n := 0, rng.Intn(5); i < n; i++ {
-				reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
-					Offset: int64(rng.Intn(24 << 10)),
-					Length: int64(rng.Intn(3 << 10)),
-				})
-			}
-		}
+		reqs := randomReqs(rng, ranks)
 		opt := sim.DefaultOptions()
 		opt.Overlap = trial%2 == 0
 		opt.Trace = true

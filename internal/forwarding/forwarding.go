@@ -52,6 +52,9 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	if err := fcfg.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := collio.CheckRequests(ctx.Topo.Size(), reqs); err != nil {
+		return nil, err
+	}
 	computeNodes := ctx.Topo.Nodes()
 	if ctx.Machine.Nodes < computeNodes+fcfg.Forwarders {
 		return nil, fmt.Errorf("forwarding: machine has %d nodes, need %d compute + %d forwarders",
@@ -81,15 +84,14 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	}
 	var userBytes int64
 	for _, r := range reqs {
-		norm := pfs.NormalizeExtents(r.Extents)
-		if len(norm) == 0 {
+		if len(r.Extents) == 0 {
 			continue
 		}
-		b := pfs.TotalBytes(norm)
+		b := r.Bytes()
 		userBytes += b
 		node := ctx.Topo.NodeOf(r.Rank)
 		f := fwd[node%fcfg.Forwarders]
-		f.extents = append(f.extents, norm...)
+		f.extents = append(f.extents, r.Extents...)
 		f.clients[node] += b
 	}
 	maxRounds := 0

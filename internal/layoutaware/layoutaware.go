@@ -11,10 +11,9 @@
 package layoutaware
 
 import (
-	"fmt"
-
 	"mcio/internal/collio"
 	"mcio/internal/pfs"
+	"mcio/internal/twophase"
 )
 
 // Strategy is the layout-aware planner.
@@ -33,39 +32,13 @@ func (s *Strategy) Name() string { return "layout-aware" }
 // with every domain boundary rounded down to a stripe-unit multiple, so
 // each stripe unit has exactly one owning aggregator.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
-	if err := ctx.Validate(); err != nil {
+	norm, members, aggs, err := twophase.Setup(ctx, reqs, s.AggregatorsPerNode)
+	if err != nil {
 		return nil, err
 	}
-	perNode := s.AggregatorsPerNode
-	if perNode <= 0 {
-		perNode = 1
-	}
-	var all []pfs.Extent
-	ranksWithData := make([]int, 0, len(reqs))
-	for _, r := range reqs {
-		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
-			return nil, fmt.Errorf("layoutaware: request for invalid rank %d", r.Rank)
-		}
-		if len(r.Extents) > 0 {
-			all = append(all, r.Extents...)
-			ranksWithData = append(ranksWithData, r.Rank)
-		}
-	}
-	norm := pfs.NormalizeExtents(all)
-	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
+	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{members}}
 	if len(norm) == 0 {
 		return plan, nil
-	}
-
-	var aggs []int
-	for node := 0; node < ctx.Topo.Nodes(); node++ {
-		ranks := ctx.Topo.RanksOnNode(node)
-		for i := 0; i < perNode && i < len(ranks); i++ {
-			aggs = append(aggs, ranks[i])
-		}
-	}
-	if len(aggs) == 0 {
-		return nil, fmt.Errorf("layoutaware: topology has no ranks")
 	}
 
 	su := ctx.FS.StripeUnit
@@ -91,22 +64,7 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 		if len(exts) == 0 {
 			continue
 		}
-		agg := aggs[i]
-		node := ctx.Topo.NodeOf(agg)
-		buf := ctx.Params.CollBufSize
-		var severity float64
-		if avail := ctx.Avail[node]; avail < buf {
-			severity = float64(buf-avail) / float64(buf)
-		}
-		plan.Domains = append(plan.Domains, collio.Domain{
-			Extents:       exts,
-			Bytes:         pfs.TotalBytes(exts),
-			Group:         0,
-			Aggregator:    agg,
-			AggNode:       node,
-			BufferBytes:   buf,
-			PagedSeverity: severity,
-		})
+		plan.Domains = append(plan.Domains, twophase.Domain(ctx, exts, aggs[i]))
 	}
 	// The loop above caps the last domain at the span end; if rounding
 	// left a tail uncovered (cur < end with all aggregators used), fold

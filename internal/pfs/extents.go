@@ -23,10 +23,10 @@ func (e Extent) Overlaps(o Extent) bool {
 
 // IsNormalized reports whether exts already is its own canonical form:
 // every extent non-empty, ascending, and neither overlapping nor adjacent
-// to its predecessor. Consumers that only read an extent list use this to
-// skip the copy NormalizeExtents would make — most lists in the hot paths
-// (plan domains, partition-tree leaves, generated requests) are built
-// normalized.
+// to its predecessor. Canonical is the form collective requests and plan
+// domains are required to take (collio.RankRequest): builders emit it,
+// and the planning gate and Plan.Validate reject any list that fails
+// this check rather than repairing it.
 func IsNormalized(exts []Extent) bool {
 	for i, e := range exts {
 		if e.Length <= 0 {
@@ -62,9 +62,17 @@ func NormalizeExtents(exts []Extent) []Extent {
 			out = append(out, e)
 		}
 	}
-	slices.SortFunc(out, func(a, b Extent) int { return cmp.Compare(a.Offset, b.Offset) })
-	merged := out[:0]
-	for _, e := range out {
+	return Coalesce(out)
+}
+
+// Coalesce is NormalizeExtents in place for a list of non-empty extents
+// the caller owns: it sorts exts by offset, merges adjacent or
+// overlapping extents, and returns the canonical result in a prefix of
+// exts.
+func Coalesce(exts []Extent) []Extent {
+	slices.SortFunc(exts, func(a, b Extent) int { return cmp.Compare(a.Offset, b.Offset) })
+	merged := exts[:0]
+	for _, e := range exts {
 		if n := len(merged); n > 0 && e.Offset <= merged[n-1].End() {
 			if e.End() > merged[n-1].End() {
 				merged[n-1].Length = e.End() - merged[n-1].Offset
@@ -74,6 +82,21 @@ func NormalizeExtents(exts []Extent) []Extent {
 		merged = append(merged, e)
 	}
 	return merged
+}
+
+// AppendExtent appends e to a canonical list whose last extent ends at or
+// before e.Offset, extending that extent instead when the two touch and
+// dropping e when it is empty, so a builder emitting extents in file
+// order produces a canonical list.
+func AppendExtent(exts []Extent, e Extent) []Extent {
+	if e.Length <= 0 {
+		return exts
+	}
+	if n := len(exts); n > 0 && exts[n-1].End() == e.Offset {
+		exts[n-1].Length += e.Length
+		return exts
+	}
+	return append(exts, e)
 }
 
 // TotalBytes sums the lengths of the extents (assumed non-overlapping).

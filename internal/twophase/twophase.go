@@ -10,8 +10,6 @@
 package twophase
 
 import (
-	"fmt"
-
 	"mcio/internal/collio"
 	"mcio/internal/pfs"
 )
@@ -32,43 +30,14 @@ func (s *Strategy) Name() string { return "two-phase" }
 
 // Plan implements collio.Strategy.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
-	if err := ctx.Validate(); err != nil {
+	norm, members, aggs, err := Setup(ctx, reqs, s.AggregatorsPerNode)
+	if err != nil {
 		return nil, err
 	}
-	perNode := s.AggregatorsPerNode
-	if perNode <= 0 {
-		perNode = 1
-	}
-
-	var all []pfs.Extent
-	ranksWithData := make([]int, 0, len(reqs))
-	for _, r := range reqs {
-		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
-			return nil, fmt.Errorf("twophase: request for invalid rank %d", r.Rank)
-		}
-		if len(r.Extents) > 0 {
-			all = append(all, r.Extents...)
-			ranksWithData = append(ranksWithData, r.Rank)
-		}
-	}
-	norm := pfs.NormalizeExtents(all)
-	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
+	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{members}}
 	if len(norm) == 0 {
 		collio.RecordPlanMetrics(ctx.Obs, plan)
 		return plan, nil
-	}
-
-	// ROMIO default: the first rank on each node is an I/O aggregator
-	// (with AggregatorsPerNode > 1, the first k ranks).
-	var aggs []int
-	for node := 0; node < ctx.Topo.Nodes(); node++ {
-		ranks := ctx.Topo.RanksOnNode(node)
-		for i := 0; i < perNode && i < len(ranks); i++ {
-			aggs = append(aggs, ranks[i])
-		}
-	}
-	if len(aggs) == 0 {
-		return nil, fmt.Errorf("twophase: topology has no ranks")
 	}
 
 	// Divide the aggregate access range evenly by offset — oblivious to
@@ -86,25 +55,53 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 		if len(exts) == 0 {
 			continue // aggregator with an empty domain sits the call out
 		}
-		agg := aggs[i]
-		node := ctx.Topo.NodeOf(agg)
-		buf := ctx.Params.CollBufSize
-		// The baseline allocates its fixed buffer regardless of what the
-		// host actually has free; the shortfall pages.
-		var severity float64
-		if avail := ctx.Avail[node]; avail < buf {
-			severity = float64(buf-avail) / float64(buf)
-		}
-		plan.Domains = append(plan.Domains, collio.Domain{
-			Extents:       exts,
-			Bytes:         pfs.TotalBytes(exts),
-			Group:         0,
-			Aggregator:    agg,
-			AggNode:       node,
-			BufferBytes:   buf,
-			PagedSeverity: severity,
-		})
+		plan.Domains = append(plan.Domains, Domain(ctx, exts, aggs[i]))
 	}
 	collio.RecordPlanMetrics(ctx.Obs, plan)
 	return plan, nil
+}
+
+// Setup is the planning preamble two-phase and layout-aware share. It
+// validates the context, passes the requests through collio's gate and
+// returns their union, the ranks with data (the single group's members),
+// and ROMIO's default aggregators: the first rank on each node, or the
+// first perNode ranks when perNode > 1.
+func Setup(ctx *collio.Context, reqs []collio.RankRequest, perNode int) (union []pfs.Extent, members, aggs []int, err error) {
+	if err := ctx.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if union, err = collio.CheckRequests(ctx.Topo.Size(), reqs); err != nil {
+		return nil, nil, nil, err
+	}
+	members = make([]int, 0, len(reqs))
+	for _, r := range reqs {
+		if len(r.Extents) > 0 {
+			members = append(members, r.Rank)
+		}
+	}
+	for node := 0; node < ctx.Topo.Nodes(); node++ {
+		ranks := ctx.Topo.RanksOnNode(node)
+		aggs = append(aggs, ranks[:min(max(perNode, 1), len(ranks))]...)
+	}
+	return union, members, aggs, nil
+}
+
+// Domain is the file domain over exts that aggregator agg services with
+// the fixed collective buffer: the baseline allocates it regardless of
+// what the host actually has free, and the shortfall pages.
+func Domain(ctx *collio.Context, exts []pfs.Extent, agg int) collio.Domain {
+	node := ctx.Topo.NodeOf(agg)
+	buf := ctx.Params.CollBufSize
+	var severity float64
+	if avail := ctx.Avail[node]; avail < buf {
+		severity = float64(buf-avail) / float64(buf)
+	}
+	return collio.Domain{
+		Extents:       exts,
+		Bytes:         pfs.TotalBytes(exts),
+		Aggregator:    agg,
+		AggNode:       node,
+		BufferBytes:   buf,
+		PagedSeverity: severity,
+	}
 }

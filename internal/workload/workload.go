@@ -5,9 +5,10 @@
 // synthetic patterns used by the extended test suite.
 //
 // A generator produces one collio.RankRequest per rank — the flattened
-// file extents a real MPI-IO run would derive from each rank's file view —
-// along with the per-process data volume, so the harness can report
-// bandwidth exactly as the original benchmarks do.
+// file extents a real MPI-IO run would derive from each rank's file view,
+// in the canonical form collio.RankRequest requires — along with the
+// per-process data volume, so the harness can report bandwidth exactly as
+// the original benchmarks do.
 package workload
 
 import (
@@ -194,7 +195,7 @@ func (w IOR) Requests() ([]collio.RankRequest, error) {
 		var exts []pfs.Extent
 		for s := 0; s < w.Segments; s++ {
 			base := int64(s)*segStride + int64(r)*w.BlockSize
-			exts = append(exts, pfs.Extent{Offset: base, Length: w.BlockSize})
+			exts = pfs.AppendExtent(exts, pfs.Extent{Offset: base, Length: w.BlockSize})
 		}
 		reqs[r] = collio.RankRequest{Rank: r, Extents: exts}
 	}
@@ -243,7 +244,7 @@ func Strided(n int, count int, blockLen int64) []collio.RankRequest {
 	for r := 0; r < n; r++ {
 		var exts []pfs.Extent
 		for i := 0; i < count; i++ {
-			exts = append(exts, pfs.Extent{
+			exts = pfs.AppendExtent(exts, pfs.Extent{
 				Offset: int64(i*n+r) * blockLen,
 				Length: blockLen,
 			})

@@ -205,6 +205,43 @@ func TestContiguousAndStrided(t *testing.T) {
 	}
 }
 
+// Every generator emits canonical requests (pfs.IsNormalized), the
+// collio.RankRequest contract — including one-rank runs, whose
+// consecutive blocks touch and must come out merged.
+func TestGeneratorsEmitCanonical(t *testing.T) {
+	gen := func(reqs []collio.RankRequest, err error) func() ([]collio.RankRequest, error) {
+		return func() ([]collio.RankRequest, error) { return reqs, err }
+	}
+	cases := map[string]func() ([]collio.RankRequest, error){
+		"coll_perf":        CollPerf{ArrayDim: 12, ElemBytes: 4, Grid: [3]int{2, 3, 2}}.Requests,
+		"coll_perf 1 rank": CollPerf{ArrayDim: 6, ElemBytes: 4, Grid: [3]int{1, 1, 1}}.Requests,
+		"ior":              IOR{Ranks: 4, BlockSize: 8, TransferSize: 4, Segments: 3}.Requests,
+		"ior 1 rank":       IOR{Ranks: 1, BlockSize: 4, TransferSize: 4, Segments: 3}.Requests,
+		"ior random":       IOR{Ranks: 3, BlockSize: 16, TransferSize: 4, Segments: 2, Random: true, Seed: 9}.Requests,
+		"ior random 1 rank": IOR{Ranks: 1, BlockSize: 16, TransferSize: 4, Segments: 2, Random: true,
+			Seed: 9}.Requests,
+		"contiguous":        gen(Contiguous(4, 10), nil),
+		"contiguous 1 rank": gen(Contiguous(1, 10), nil),
+		"strided":           gen(Strided(3, 4, 10), nil),
+		"strided 1 rank":    gen(Strided(1, 4, 10), nil),
+		"unbalanced":        gen(Unbalanced(4, 10), nil),
+		"unbalanced 1 rank": gen(Unbalanced(1, 10), nil),
+		"reversed":          gen(ReversedNodes(4, 10), nil),
+		"reversed 1 rank":   gen(ReversedNodes(1, 10), nil),
+	}
+	for name, requests := range cases {
+		reqs, err := requests()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range reqs {
+			if !pfs.IsNormalized(r.Extents) {
+				t.Errorf("%s: rank %d extents %v are not canonical", name, r.Rank, r.Extents)
+			}
+		}
+	}
+}
+
 // Property: every generated workload covers its declared TotalBytes
 // exactly and disjointly.
 func TestWorkloadCoverageProperty(t *testing.T) {

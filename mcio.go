@@ -66,7 +66,9 @@ type (
 	// CostResult is a priced collective operation (bandwidth, rounds,
 	// aggregator accounting).
 	CostResult = collio.CostResult
-	// RankRequest is one rank's flattened file-extent access list.
+	// RankRequest is one rank's flattened file-extent access list:
+	// non-empty extents in ascending file order, none overlapping or
+	// touching the one before. Planning rejects any other list.
 	RankRequest = collio.RankRequest
 	// Extent is a contiguous file range.
 	Extent = pfs.Extent

@@ -149,6 +149,31 @@ func TestPlanInspection(t *testing.T) {
 	}
 }
 
+// System.Plan rejects a request whose extents are not canonical, with
+// an error naming the rank, under every strategy.
+func TestSystemPlanRejectsNonCanonicalRequests(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Ranks: 4, RanksPerNode: 2, Params: DefaultParams(256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]Extent{
+		"unsorted":    {{Offset: 900, Length: 50}, {Offset: 800, Length: 50}},
+		"overlapping": {{Offset: 800, Length: 100}, {Offset: 850, Length: 100}},
+	} {
+		reqs := make([]RankRequest, 4)
+		for r := range reqs {
+			reqs[r] = RankRequest{Rank: r, Extents: []Extent{{Offset: int64(r) * 200, Length: 100}}}
+		}
+		reqs[2].Extents = bad
+		for _, s := range []Strategy{TwoPhase(), MemoryConscious(), LayoutAware()} {
+			_, err := sys.Plan(s, reqs)
+			if err == nil || !strings.Contains(err.Error(), "rank 2 ") {
+				t.Errorf("%s %s: err = %v, want one naming rank 2", s.Name(), name, err)
+			}
+		}
+	}
+}
+
 func TestTable1Export(t *testing.T) {
 	s := Table1()
 	for _, want := range []string{"System Peak", "Total Concurrency", "4444"} {
