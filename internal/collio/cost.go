@@ -190,7 +190,7 @@ func costResult(ctx *Context, plan *Plan, op Op, opt sim.Options, eng *sim.Engin
 // request exchange of classic two-phase I/O; the memory-conscious
 // strategy confines it to each group.
 func metaRound(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) sim.Round {
-	listBytes, aggsByGroup := metaInputs(plan, reqs)
+	listBytes, aggsByGroup := metaInputs(ctx, plan, reqs)
 	meta := sim.Round{Kind: sim.RoundMetadata}
 	for g, ranks := range plan.GroupRanks {
 		aggs := aggsByGroup[g]

@@ -277,7 +277,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	leakSev := make([]float64, nodes)
 	// nodeSeverity tracks the worst paging severity declared per node so
 	// recoveries never accidentally lower another domain's penalty.
-	nodeSeverity := map[int]float64{}
+	nodeSeverity := make([]float64, nodes)
 	for _, d := range live {
 		if d.PagedSeverity > nodeSeverity[d.AggNode] {
 			nodeSeverity[d.AggNode] = d.PagedSeverity
@@ -387,6 +387,9 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 							ra.Domain, ra.MergeInto, live[ra.MergeInto].AggNode))
 				}
 				continue
+			}
+			if ra.AggNode < 0 || ra.AggNode >= nodes {
+				return 0, fmt.Errorf("collio: domain %d reassigned to node %d outside [0,%d)", ra.Domain, ra.AggNode, nodes)
 			}
 			moved := live[ra.Domain].AggNode != ra.AggNode
 			bufChanged := ra.BufferBytes > 0 && live[ra.Domain].BufferBytes != ra.BufferBytes

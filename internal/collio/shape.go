@@ -227,16 +227,19 @@ func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*Co
 
 // metaInputs returns what the metadata exchange moves: each rank's
 // flattened extent-list payload in bytes (one wire record per
-// extent) and each group's aggregator ranks, sorted and
-// deduplicated. Both engines' metadata builders start from it.
-func metaInputs(plan *Plan, reqs []RankRequest) (listBytes map[int]int64, aggsByGroup map[int][]int) {
-	listBytes = make(map[int]int64, len(reqs))
+// extent), indexed by rank, and each group's aggregator ranks, sorted
+// and deduplicated, indexed by group. Both engines' metadata builders
+// start from it.
+func metaInputs(ctx *Context, plan *Plan, reqs []RankRequest) (listBytes []int64, aggsByGroup [][]int) {
+	listBytes = make([]int64, ctx.Topo.Size())
 	for _, r := range reqs {
 		listBytes[r.Rank] = int64(len(r.Extents)) * extentListEntryBytes
 	}
-	aggsByGroup = make(map[int][]int)
+	aggsByGroup = make([][]int, len(plan.GroupRanks))
 	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+		if uint(d.Group) < uint(len(aggsByGroup)) {
+			aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+		}
 	}
 	for g, aggs := range aggsByGroup {
 		aggsByGroup[g] = dedupInts(aggs)
@@ -252,49 +255,59 @@ func metaInputs(plan *Plan, reqs []RankRequest) (listBytes map[int]int64, aggsBy
 // prices the cross product in O(sources + destinations). Returns the
 // exchanges and the point-to-point message count they stand for.
 func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exchange, int) {
-	listBytes, aggsByGroup := metaInputs(plan, reqs)
+	listBytes, aggsByGroup := metaInputs(ctx, plan, reqs)
 	var exchanges []sim.Exchange
 	messages := 0
-	srcBytes := map[int]*sim.ExchangeSrc{} // per-group scratch: src node -> bytes, rank count
+	// Node-indexed fold scratch, shared by every group: touched lists the
+	// nodes a fold wrote, and collecting a fold zeroes exactly those.
+	srcAt := make([]sim.ExchangeSrc, ctx.Topo.Nodes())
+	slotsAt := make([]int, ctx.Topo.Nodes())
+	var touched []int
 	for g, ranks := range plan.GroupRanks {
 		aggs := aggsByGroup[g]
 		if len(aggs) == 0 {
 			continue
 		}
-		clear(srcBytes)
+		touched = touched[:0]
+		srcRanks := 0
 		for _, r := range ranks {
 			bytes := listBytes[r]
 			if bytes == 0 {
 				continue
 			}
 			node := ctx.Topo.NodeOf(r)
-			f := srcBytes[node]
-			if f == nil {
-				f = &sim.ExchangeSrc{Node: node}
-				srcBytes[node] = f
+			f := &srcAt[node]
+			if f.Count == 0 {
+				f.Node = node
+				touched = append(touched, node)
 			}
 			f.Bytes += bytes
 			f.Count++
+			srcRanks++
 		}
-		if len(srcBytes) == 0 {
+		if len(touched) == 0 {
 			continue
 		}
-		x := sim.Exchange{Srcs: make([]sim.ExchangeSrc, 0, len(srcBytes))}
-		srcRanks := 0
-		for _, f := range srcBytes {
-			x.Srcs = append(x.Srcs, *f)
-			srcRanks += f.Count
+		sort.Ints(touched)
+		x := sim.Exchange{Srcs: make([]sim.ExchangeSrc, len(touched))}
+		for i, node := range touched {
+			x.Srcs[i] = srcAt[node]
+			srcAt[node] = sim.ExchangeSrc{}
 		}
-		sort.Slice(x.Srcs, func(i, j int) bool { return x.Srcs[i].Node < x.Srcs[j].Node })
-		slots := map[int]int{}
+		touched = touched[:0]
 		for _, a := range aggs {
-			slots[ctx.Topo.NodeOf(a)]++
+			node := ctx.Topo.NodeOf(a)
+			if slotsAt[node] == 0 {
+				touched = append(touched, node)
+			}
+			slotsAt[node]++
 		}
-		x.Dsts = make([]sim.ExchangeDst, 0, len(slots))
-		for node, n := range slots {
-			x.Dsts = append(x.Dsts, sim.ExchangeDst{Node: node, Slots: n})
+		sort.Ints(touched)
+		x.Dsts = make([]sim.ExchangeDst, len(touched))
+		for i, node := range touched {
+			x.Dsts[i] = sim.ExchangeDst{Node: node, Slots: slotsAt[node]}
+			slotsAt[node] = 0
 		}
-		sort.Slice(x.Dsts, func(i, j int) bool { return x.Dsts[i].Node < x.Dsts[j].Node })
 		exchanges = append(exchanges, x)
 		messages += srcRanks * len(aggs)
 	}

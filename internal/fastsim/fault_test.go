@@ -101,7 +101,9 @@ func interleavedReqs(ranks int) []collio.RankRequest {
 	for r := range reqs {
 		reqs[r].Rank = r
 		for b := 0; b < 6; b++ {
-			reqs[r].Extents = append(reqs[r].Extents, pfs.Extent{
+			// AppendExtent keeps a lone rank's blocks canonical: they
+			// touch, so they coalesce into one extent.
+			reqs[r].Extents = pfs.AppendExtent(reqs[r].Extents, pfs.Extent{
 				Offset: int64(b*ranks+r) * rec,
 				Length: rec,
 			})

@@ -141,7 +141,7 @@ func writeSeriesSections(b *strings.Builder, t *TrendResult) {
 		}
 		badge := map[string]string{"ok": "ok", "step": "step", "drift": "drift"}[v.Kind]
 		fmt.Fprintf(b, "<div class=\"series\"><span class=\"badge badge-%s\">%s</span><span class=\"metric\">%s</span>",
-			badge, strings.ToUpper(badge), html.EscapeString(v.Series.Metric))
+			badge, strings.ToUpper(badge), html.EscapeString(v.Series.Label()))
 		writeSparkline(b, v.Series)
 		fmt.Fprintf(b, "<span class=\"vals\">%s &rarr; %s", fmtVal(v.First), fmtVal(v.Last))
 		if v.TotalRel != 0 {
@@ -225,17 +225,10 @@ func writeVerdictTable(b *strings.Builder, t *TrendResult) {
 	b.WriteString("<h2>Verdicts</h2>\n<table>\n<tr><th>entry</th><th>metric</th><th class=\"num\">runs</th><th class=\"num\">first</th><th class=\"num\">last</th><th class=\"num\">slope/run</th><th class=\"num\">total</th><th>status</th></tr>\n")
 	for i := range t.Verdicts {
 		v := &t.Verdicts[i]
-		status := "ok"
-		switch v.Kind {
-		case "step":
-			status = "STEP: " + v.Why
-		case "drift":
-			status = "DRIFT: " + v.Why
-		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td>%s</td></tr>\n",
-			html.EscapeString(v.Series.Entry), html.EscapeString(v.Series.Metric),
+			html.EscapeString(v.Series.Entry), html.EscapeString(v.Series.Label()),
 			len(v.Series.Points), fmtVal(v.First), fmtVal(v.Last),
-			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), html.EscapeString(status))
+			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), html.EscapeString(v.Status()))
 	}
 	b.WriteString("</table>\n")
 }

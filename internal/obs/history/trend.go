@@ -83,8 +83,45 @@ type Point struct {
 type Series struct {
 	Entry  string // entry name, e.g. "two-phase/write/mem=16"
 	Metric string // "bandwidth_mbps", "wall_seconds", or a Metrics key
+	// Host is the host fingerprint (hostKey) every point was measured
+	// on, for metrics that only compare within one host; empty for
+	// metrics that compare across hosts.
+	Host   string
 	Better Direction
 	Points []Point
+}
+
+// Label is the series' metric name, qualified by its host when the
+// metric is host-bound.
+func (s *Series) Label() string {
+	if s.Host == "" {
+		return s.Metric
+	}
+	return s.Metric + "@" + s.Host
+}
+
+// metricDirections gives the metrics-only keys that have a better
+// direction: the host-side cost of producing a ledger, which is allowed
+// to fall. Every other metrics-only key (chaos detection counts, repair
+// bytes, degradation rungs) is Steady.
+var metricDirections = map[string]Direction{
+	"host_wall_seconds": LowerBetter,
+	"total_alloc_bytes": LowerBetter,
+}
+
+// hostBound lists the metrics compared only between records from the
+// same host fingerprint. Allocation counts are close to deterministic
+// and compare across hosts; wall time does not.
+var hostBound = map[string]bool{"host_wall_seconds": true}
+
+// hostKey fingerprints the host a record ran on for host-bound
+// comparisons: Go version, GOMAXPROCS and CPU count.
+func hostKey(rec *obs.RunRecord) string {
+	h := rec.Host
+	if h == nil {
+		return "unknown-host"
+	}
+	return fmt.Sprintf("%s/p%d/cpu%d", h.GoVersion, h.GOMAXPROCS, h.NumCPU)
 }
 
 // Values returns just the observation values, oldest first.
@@ -109,10 +146,28 @@ type Verdict struct {
 	StepAt      int     // record index of the first bad step, -1 if none
 	StepRel     float64 // relative deviation from the rolling median at StepAt
 	Why         string  // human explanation when Kind != "ok"
+	// Ungated marks an ok series with no comparable earlier record:
+	// nothing was checked, which is not the same as passing a check.
+	Ungated bool
 }
 
 // Flagged reports whether this verdict should fail a gate.
 func (v *Verdict) Flagged() bool { return v.Kind != "ok" }
+
+// Status renders the verdict for the text and HTML tables.
+func (v *Verdict) Status() string {
+	switch {
+	case v.Kind == "step":
+		return "STEP: " + v.Why
+	case v.Kind == "drift":
+		return "DRIFT: " + v.Why
+	case v.Ungated && v.Series.Host != "":
+		return "not yet gated: no earlier run on this host"
+	case v.Ungated:
+		return "not yet gated: no earlier run"
+	}
+	return "ok"
+}
 
 // TrendResult is the analysis of a whole record series.
 type TrendResult struct {
@@ -136,16 +191,18 @@ func (t *TrendResult) Flagged() []Verdict {
 // history (oldest first) and classifies each one. Entries are matched
 // across records by name; entries absent from some records simply
 // contribute shorter series (the pairwise diff gate already fails on
-// vanished entries). Single-point series are ok by definition.
+// vanished entries). Host-bound metrics form one series per host
+// fingerprint. A single-point series has nothing to compare against:
+// it is ok but reported as not yet gated.
 func Trend(recs []RecordFile, opt Options) *TrendResult {
-	type key struct{ entry, metric string }
+	type key struct{ entry, metric, host string }
 	series := map[key]*Series{}
 	var order []key
-	add := func(entry, metric string, better Direction, ri int, val float64) {
-		k := key{entry, metric}
+	add := func(entry, metric, host string, better Direction, ri int, val float64) {
+		k := key{entry, metric, host}
 		s, ok := series[k]
 		if !ok {
-			s = &Series{Entry: entry, Metric: metric, Better: better}
+			s = &Series{Entry: entry, Metric: metric, Host: host, Better: better}
 			series[k] = s
 			order = append(order, k)
 		}
@@ -155,23 +212,31 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 		for _, e := range rf.Rec.Entries {
 			tracked := false
 			if e.BandwidthMBps > 0 {
-				add(e.Name, "bandwidth_mbps", HigherBetter, ri, e.BandwidthMBps)
+				add(e.Name, "bandwidth_mbps", "", HigherBetter, ri, e.BandwidthMBps)
 				tracked = true
 			}
 			if e.WallSeconds > 0 {
-				add(e.Name, "wall_seconds", LowerBetter, ri, e.WallSeconds)
+				add(e.Name, "wall_seconds", "", LowerBetter, ri, e.WallSeconds)
 				tracked = true
 			}
 			if !tracked {
-				// Metrics-only entries (chaos detection counts, repair
-				// bytes, degradation rungs): every key is a steady series.
+				// Metrics-only entries: a key without a direction in
+				// metricDirections is a steady series.
 				keys := make([]string, 0, len(e.Metrics))
 				for k := range e.Metrics {
 					keys = append(keys, k)
 				}
 				sort.Strings(keys)
 				for _, k := range keys {
-					add(e.Name, k, Steady, ri, e.Metrics[k])
+					better, ok := metricDirections[k]
+					if !ok {
+						better = Steady
+					}
+					host := ""
+					if hostBound[k] {
+						host = hostKey(rf.Rec)
+					}
+					add(e.Name, k, host, better, ri, e.Metrics[k])
 				}
 			}
 		}
@@ -180,7 +245,10 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 		if order[i].entry != order[j].entry {
 			return order[i].entry < order[j].entry
 		}
-		return order[i].metric < order[j].metric
+		if order[i].metric != order[j].metric {
+			return order[i].metric < order[j].metric
+		}
+		return order[i].host < order[j].host
 	})
 	res := &TrendResult{Records: recs, Opt: opt}
 	for _, k := range order {
@@ -198,6 +266,7 @@ func classify(s *Series, opt Options) Verdict {
 		v.First, v.Last = s.Points[0].Value, s.Points[n-1].Value
 	}
 	if n < 2 {
+		v.Ungated = true
 		return v
 	}
 	vals := s.Values()
@@ -313,23 +382,20 @@ func (t *TrendResult) Render() string {
 		len(t.Records), len(t.Verdicts), t.Opt.tol()*100, t.Opt.window(), t.Opt.minRuns())
 	fmt.Fprintf(&b, "%-28s %-18s %5s %12s %12s %11s %9s  %s\n",
 		"entry", "metric", "runs", "first", "last", "slope/run", "total", "status")
+	ungated := 0
 	for i := range t.Verdicts {
 		v := &t.Verdicts[i]
-		status := "ok"
-		switch v.Kind {
-		case "step":
-			status = "STEP: " + v.Why
-		case "drift":
-			status = "DRIFT: " + v.Why
+		if v.Ungated {
+			ungated++
 		}
 		fmt.Fprintf(&b, "%-28s %-18s %5d %12s %12s %11s %9s  %s\n",
-			v.Series.Entry, v.Series.Metric, len(v.Series.Points),
+			v.Series.Entry, v.Series.Label(), len(v.Series.Points),
 			fmtVal(v.First), fmtVal(v.Last),
-			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), status)
+			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), v.Status())
 	}
 	flagged := t.Flagged()
 	if len(flagged) == 0 {
-		fmt.Fprintf(&b, "no steps or drift (%d series analyzed)\n", len(t.Verdicts))
+		fmt.Fprintf(&b, "no steps or drift (%d series analyzed, %d not yet gated)\n", len(t.Verdicts), ungated)
 	} else {
 		steps, drifts := 0, 0
 		for _, v := range flagged {

@@ -200,3 +200,67 @@ func TestTrendRenderGolden(t *testing.T) {
 		}
 	}
 }
+
+// harnessHistory is a fig-exa history whose harness entry (host wall
+// time and allocated bytes) holds steady for five runs on host a, then
+// moves by rel on host b in the last record.
+func harnessHistory(a, b *obs.HostInfo, rel float64) []RecordFile {
+	var recs []RecordFile
+	for i := 0; i < 6; i++ {
+		wall, alloc, host := 30.0, 1e10, a
+		if i == 5 {
+			wall, alloc, host = wall*(1+rel), alloc*(1+rel), b
+		}
+		r := rec("fig-exa", int64(i+1), obs.RunEntry{
+			Name:    "fig-exa/harness",
+			Metrics: map[string]float64{"host_wall_seconds": wall, "total_alloc_bytes": alloc},
+		})
+		r.Host = host
+		recs = append(recs, RecordFile{Path: fmt.Sprintf("r%d", i), Rec: r})
+	}
+	return recs
+}
+
+// TestHarnessSeriesDirectionAndHost pins how the harness series gate:
+// host cost may fall but not rise, and host wall time compares only
+// between records from the same host fingerprint.
+func TestHarnessSeriesDirectionAndHost(t *testing.T) {
+	ci := &obs.HostInfo{GoVersion: "go1.24.0", GOMAXPROCS: 1, NumCPU: 1}
+	verdicts := func(recs []RecordFile) map[string]Verdict {
+		out := map[string]Verdict{}
+		for _, v := range Trend(recs, Options{}).Verdicts {
+			out[v.Series.Label()] = v
+		}
+		return out
+	}
+	wallCI := "host_wall_seconds@" + hostKey(&obs.RunRecord{Host: ci})
+
+	// +10% on the same host: both series step.
+	got := verdicts(harnessHistory(ci, ci, 0.10))
+	for _, k := range []string{wallCI, "total_alloc_bytes"} {
+		if v := got[k]; v.Kind != "step" || v.Series.Better != LowerBetter {
+			t.Errorf("+10%% %s: verdict %q (%v), want a lower-better step", k, v.Kind, v.Series.Better)
+		}
+	}
+	// -45% on the same host: an improvement, not a step.
+	got = verdicts(harnessHistory(ci, ci, -0.45))
+	for _, k := range []string{wallCI, "total_alloc_bytes"} {
+		if v := got[k]; v.Kind != "ok" || v.Ungated {
+			t.Errorf("-45%% %s: verdict %q ungated=%v, want a gated ok", k, v.Kind, v.Ungated)
+		}
+	}
+	// +10% on another host: allocation still steps (it compares across
+	// hosts); the new host's wall time has nothing to compare against.
+	other := &obs.HostInfo{GoVersion: "go1.24.0", GOMAXPROCS: 4, NumCPU: 4}
+	got = verdicts(harnessHistory(ci, other, 0.10))
+	if v := got["total_alloc_bytes"]; v.Kind != "step" {
+		t.Errorf("cross-host alloc verdict %q, want step", v.Kind)
+	}
+	wallOther := "host_wall_seconds@" + hostKey(&obs.RunRecord{Host: other})
+	if v := got[wallOther]; v.Kind != "ok" || !v.Ungated || !strings.Contains(v.Status(), "not yet gated") {
+		t.Errorf("cross-host wall verdict %q status %q, want not yet gated", v.Kind, v.Status())
+	}
+	if v := got[wallCI]; len(v.Series.Points) != 5 || v.Kind != "ok" || v.Ungated {
+		t.Errorf("home-host wall series: %d points, verdict %q ungated=%v", len(v.Series.Points), v.Kind, v.Ungated)
+	}
+}

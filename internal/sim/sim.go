@@ -302,30 +302,90 @@ type TraceEntry struct {
 // Engine prices rounds against a machine design point and storage
 // parameters. It is not safe for concurrent use.
 type Engine struct {
-	mc       machine.Config
-	st       StorageParams
-	opt      Options
-	aggsPer  map[int]int     // node -> active aggregator count
-	paged    map[int]float64 // node -> worst paging severity present
-	slowdown map[int]float64 // node -> straggler bandwidth divisor (> 1)
-	tgtSlow  map[int]float64 // target -> gray service-time multiplier (> 1)
-	totals   Totals
-	trace    []TraceEntry
-	eo       *engineObs
-	rec      *timeline.Recorder
-	tlPhase  string // last phase journaled to the timeline recorder
+	mc      machine.Config
+	st      StorageParams
+	opt     Options
+	place   idTable[placement] // node -> aggregator placement state
+	slow    idTable[float64]   // node -> straggler bandwidth divisor (<= 1: healthy)
+	tgtSlow []float64          // target -> gray service-time multiplier (<= 1: healthy)
+	shuffle idTable[int64]     // node -> operation's shuffled bytes (Totals.PerNodeShuffle)
+	totals  Totals
+	trace   []TraceEntry
+	eo      *engineObs
+	rec     *timeline.Recorder
+	tlPhase string // last phase journaled to the timeline recorder
 
-	// runRound scratch, recycled round to round (the Engine is
-	// single-goroutine by contract). The maps are drained into the
-	// freelists at the start of each round; emitRound reads them
-	// synchronously, so nothing outlives the call that filled it.
-	scLoads     map[int]*nodeLoad
-	scTargets   map[int]*targetLoad
-	freeLoads   []*nodeLoad
-	freeTargets []*targetLoad
-	scNodeIDs   []int
-	scTargetIDs []int
-	scNodeTime  []float64
+	// Round scratch, indexed by node and target id and recycled round to
+	// round (the Engine is single-goroutine by contract). beginRound
+	// zeroes only the ids the previous round touched, and the backing
+	// arrays keep their size, so steady-state rounds allocate nothing;
+	// emitRound and recordRound read the tables synchronously, so nothing
+	// outlives the call that filled it.
+	loads      idTable[nodeLoad]
+	targets    idTable[targetLoad]
+	xnodes     idTable[exchangeNode] // accExchange's per-node split inputs
+	scNodeTime []float64
+}
+
+// placement is one node's share of the declared aggregator placement.
+type placement struct {
+	aggs  int     // active aggregator count
+	paged float64 // worst paging severity present
+}
+
+// idTable is a table indexed by a small non-negative id (a node or a
+// storage target) that lists the ids it has handed out, so clearing it
+// costs the ids touched rather than the id range. It grows on demand to
+// the largest id seen.
+type idTable[T any] struct {
+	kind string // "node" or "target", for the negative-id panic
+	vals []T
+	used []bool
+	ids  []int // ids handed out by at since the last reset, first touch first
+}
+
+// at returns id's entry, listing id on its first touch since the last
+// reset. The pointer is valid until the next at call on the same table,
+// which may grow it. A negative id panics with a message naming it.
+func (t *idTable[T]) at(id int) *T {
+	if uint(id) >= uint(len(t.vals)) {
+		t.grow(id)
+	}
+	if !t.used[id] {
+		t.used[id] = true
+		t.ids = append(t.ids, id)
+	}
+	return &t.vals[id]
+}
+
+// get returns id's entry without listing it: the zero value for an id
+// never touched.
+func (t *idTable[T]) get(id int) T {
+	if uint(id) < uint(len(t.vals)) {
+		return t.vals[id]
+	}
+	var zero T
+	return zero
+}
+
+// reset zeroes the listed entries and empties the list.
+func (t *idTable[T]) reset() {
+	var zero T
+	for _, id := range t.ids {
+		t.vals[id] = zero
+		t.used[id] = false
+	}
+	t.ids = t.ids[:0]
+}
+
+// grow extends the table to cover id, at least doubling it.
+func (t *idTable[T]) grow(id int) {
+	if id < 0 {
+		panic(fmt.Sprintf("sim: negative %s id %d", t.kind, id))
+	}
+	n := max(id+1, 2*len(t.vals))
+	t.vals = append(t.vals, make([]T, n-len(t.vals))...)
+	t.used = append(t.used, make([]bool, n-len(t.used))...)
 }
 
 // Track id conventions for engine-emitted spans. Tid 1 holds the
@@ -430,8 +490,8 @@ func (e *Engine) Timeline() *timeline.Recorder { return e.rec }
 // the round start; storage starts after it, or alongside it when
 // phases overlap.
 func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery bool,
-	nodeIDs []int, nodeTime []float64, loads map[int]*nodeLoad,
-	targetIDs []int, targets map[int]*targetLoad) {
+	nodeIDs []int, nodeTime []float64, loads []nodeLoad,
+	targetIDs []int, targets []targetLoad) {
 	rec := e.rec
 	phase := "data"
 	switch {
@@ -451,12 +511,12 @@ func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery 
 	for i, n := range nodeIDs {
 		ent := timeline.Ent("node", n)
 		rec.AddSpan(ent, "busy", commStart, commStart+nodeTime[i])
-		l := loads[n]
+		l := &loads[n]
 		rec.AddRate(ent, "nic_bytes", commStart, float64(l.in+l.out))
 	}
 	for _, t := range targetIDs {
 		ent := timeline.Ent("ost", t)
-		load := targets[t]
+		load := &targets[t]
 		rec.AddSpan(ent, "busy", ioStart, ioStart+load.time)
 		rec.AddGauge(ent, "queue", ioStart, float64(load.requests))
 	}
@@ -474,37 +534,34 @@ func NewEngine(mc machine.Config, st StorageParams, opt Options) (*Engine, error
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
-		mc:        mc,
-		st:        st,
-		opt:       opt,
-		aggsPer:   map[int]int{},
-		paged:     map[int]float64{},
-		slowdown:  map[int]float64{},
-		tgtSlow:   map[int]float64{},
-		totals:    Totals{PerNodeShuffle: map[int]int64{}},
-		scLoads:   map[int]*nodeLoad{},
-		scTargets: map[int]*targetLoad{},
-	}, nil
+	e := &Engine{
+		mc:      mc,
+		st:      st,
+		opt:     opt,
+		place:   idTable[placement]{kind: "node"},
+		slow:    idTable[float64]{kind: "node"},
+		tgtSlow: make([]float64, st.Targets),
+		shuffle: idTable[int64]{kind: "node"},
+		loads:   idTable[nodeLoad]{kind: "node"},
+		targets: idTable[targetLoad]{kind: "target"},
+		xnodes:  idTable[exchangeNode]{kind: "node"},
+	}
+	e.targets.grow(st.Targets - 1)
+	return e, nil
 }
 
 // SetAggregators declares the aggregator placement for the operation being
-// priced. It resets any previous placement. Severities outside [0,1] are
-// clamped.
+// priced. It resets any previous placement, including severities set by
+// SetNodePaged. Severities outside [0,1] are clamped. A negative node id
+// panics.
 func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
-	e.aggsPer = map[int]int{}
-	e.paged = map[int]float64{}
+	e.place.reset()
 	for _, a := range aggs {
-		e.aggsPer[a.Node]++
-		s := a.PagedSeverity
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		if s > e.paged[a.Node] {
-			e.paged[a.Node] = s
+		p := e.place.at(a.Node)
+		p.aggs++
+		s := clamp01(a.PagedSeverity)
+		if s > p.paged {
+			p.paged = s
 		}
 		if eo := e.eo; eo != nil {
 			eo.counter("sim.aggregators", "node", a.Node).Inc()
@@ -519,27 +576,29 @@ func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
 	}
 }
 
-// SetNodeSlowdown declares a straggler: node's NIC and DRAM bandwidth
-// are divided by factor until the next call. Factor <= 1 clears it.
-func (e *Engine) SetNodeSlowdown(node int, factor float64) {
-	if factor <= 1 {
-		delete(e.slowdown, node)
-		return
+// clamp01 clamps a paging severity to [0, 1].
+func clamp01(s float64) float64 {
+	if s < 0 {
+		return 0
 	}
-	e.slowdown[node] = factor
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// SetNodeSlowdown declares a straggler: node's NIC and DRAM bandwidth
+// are divided by factor until the next call. Factor <= 1 clears it. A
+// negative node id panics.
+func (e *Engine) SetNodeSlowdown(node int, factor float64) {
+	*e.slow.at(node) = factor
 }
 
 // SetNodePaged updates one node's paging severity mid-operation (e.g.
 // after a memory collapse) without re-declaring the whole aggregator
-// placement. Severity is clamped to [0, 1].
+// placement. Severity is clamped to [0, 1]. A negative node id panics.
 func (e *Engine) SetNodePaged(node int, severity float64) {
-	if severity < 0 {
-		severity = 0
-	}
-	if severity > 1 {
-		severity = 1
-	}
-	e.paged[node] = severity
+	e.place.at(node).paged = clamp01(severity)
 }
 
 // SetTargetSlowdown declares a gray storage degradation: service time
@@ -547,28 +606,22 @@ func (e *Engine) SetNodePaged(node int, severity float64) {
 // Factor <= 1 clears it. The excess over healthy service time is
 // charged as injected delay, so blame attribution groups it with the
 // other fault-induced waiting rather than with honest streaming work.
+// A target outside [0, Targets) panics.
 func (e *Engine) SetTargetSlowdown(target int, factor float64) {
-	if factor <= 1 {
-		delete(e.tgtSlow, target)
-		return
+	if target < 0 || target >= e.st.Targets {
+		panic(fmt.Sprintf("sim: slowdown for target %d outside [0,%d)", target, e.st.Targets))
 	}
 	e.tgtSlow[target] = factor
 }
 
 // targetSlowdown returns target's gray service-time multiplier (1 = healthy).
 func (e *Engine) targetSlowdown(target int) float64 {
-	if f, ok := e.tgtSlow[target]; ok {
-		return f
-	}
-	return 1
+	return max(e.tgtSlow[target], 1)
 }
 
 // nodeSlowdown returns node's straggler bandwidth divisor (1 = healthy).
 func (e *Engine) nodeSlowdown(node int) float64 {
-	if f, ok := e.slowdown[node]; ok {
-		return f
-	}
-	return 1
+	return max(e.slow.get(node), 1)
 }
 
 // pagedSlowdown returns the multiplicative slowdown of everything an
@@ -579,14 +632,14 @@ func (e *Engine) nodeSlowdown(node int) float64 {
 // interpolates linearly between full speed (1x) and running the buffer at
 // PagedBandwidthFraction of DRAM speed.
 func (e *Engine) pagedSlowdown(node int) float64 {
-	return pricing.PagedSlowdown(e.paged[node], e.mc.PagedBandwidthFraction)
+	return pricing.PagedSlowdown(e.place.get(node).paged, e.mc.PagedBandwidthFraction)
 }
 
 // effMemBW returns the node's effective off-chip bandwidth for shuffle
 // traffic given paging state and aggregator contention.
 func (e *Engine) effMemBW(node int) float64 {
 	return pricing.EffMemBW(e.mc.MemBandwidth, e.pagedSlowdown(node), e.nodeSlowdown(node),
-		e.aggsPer[node], e.opt.NahOpt, e.opt.ContentionBeta)
+		e.place.get(node).aggs, e.opt.NahOpt, e.opt.ContentionBeta)
 }
 
 // nodeLoad accumulates one node's traffic within a round.
@@ -709,7 +762,8 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 	}
 	var ioBytes int64
 	ioDir := ""
-	for _, op := range r.IOOps {
+	for i := range r.IOOps {
+		op := &r.IOOps[i]
 		e.accIOOp(op)
 		ioBytes += op.Bytes
 		ioDir = mergeIODir(ioDir, op.Write)
@@ -717,50 +771,10 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 	return e.finishRound(r.Kind, recovery, nMsgs, len(r.IOOps), commBytes, ioBytes, ioDir)
 }
 
-// beginRound recycles the previous round's scratch: drained maps feed
-// the freelists so steady-state rounds allocate nothing.
+// beginRound zeroes the previous round's node and target loads.
 func (e *Engine) beginRound() {
-	for n, l := range e.scLoads {
-		*l = nodeLoad{}
-		e.freeLoads = append(e.freeLoads, l)
-		delete(e.scLoads, n)
-	}
-	for t, tl := range e.scTargets {
-		*tl = targetLoad{}
-		e.freeTargets = append(e.freeTargets, tl)
-		delete(e.scTargets, t)
-	}
-}
-
-// load returns the round's accumulator for a node, creating it from the
-// freelist on first touch.
-func (e *Engine) load(n int) *nodeLoad {
-	l := e.scLoads[n]
-	if l == nil {
-		if k := len(e.freeLoads); k > 0 {
-			l = e.freeLoads[k-1]
-			e.freeLoads = e.freeLoads[:k-1]
-		} else {
-			l = &nodeLoad{}
-		}
-		e.scLoads[n] = l
-	}
-	return l
-}
-
-// target is load's counterpart for storage targets.
-func (e *Engine) target(t int) *targetLoad {
-	tl := e.scTargets[t]
-	if tl == nil {
-		if k := len(e.freeTargets); k > 0 {
-			tl = e.freeTargets[k-1]
-			e.freeTargets = e.freeTargets[:k-1]
-		} else {
-			tl = &targetLoad{}
-		}
-		e.scTargets[t] = tl
-	}
-	return tl
+	e.loads.reset()
+	e.targets.reset()
 }
 
 // accMessage accumulates a message bundle (count positive-byte messages
@@ -774,22 +788,23 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 		return
 	}
 	e.totals.ShufBytes += bytes
-	e.totals.PerNodeShuffle[src] += bytes
+	*e.shuffle.at(src) += bytes
 	if src == dst {
 		// Intra-node: two extra DRAM crossings, no NIC.
-		l := e.load(src)
+		l := e.loads.at(src)
 		l.mem += pricing.IntraMemCopy(e.opt.MemCopyFactor, bytes)
 		l.msgs += count
 		return
 	}
 	e.totals.NetBytes += bytes
-	e.totals.PerNodeShuffle[dst] += bytes
-	sl, dl := e.load(src), e.load(dst)
+	*e.shuffle.at(dst) += bytes
+	sl := e.loads.at(src)
 	sl.out += bytes
-	dl.in += bytes
 	sl.mem += pricing.MemCopy(e.opt.MemCopyFactor, bytes)
-	dl.mem += pricing.MemCopy(e.opt.MemCopyFactor, bytes)
 	sl.msgs += count
+	dl := e.loads.at(dst) // may grow the table: sl is stale from here
+	dl.in += bytes
+	dl.mem += pricing.MemCopy(e.opt.MemCopyFactor, bytes)
 	dl.msgs += count
 }
 
@@ -824,18 +839,15 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 	if slots == 0 || totalBytes == 0 {
 		return 0, 0
 	}
-	// Intra-node split inputs: receiving slots per source node, sent
-	// bytes per destination node.
-	slotsAt := make(map[int]int64, len(x.Dsts))
+	// Intra-node split inputs: receiving slots and sent bytes per node.
+	xn := &e.xnodes
 	for _, d := range x.Dsts {
-		slotsAt[d.Node] += int64(d.Slots)
+		xn.at(d.Node).slots += int64(d.Slots)
 	}
-	sentAt := make(map[int]ExchangeSrc, len(x.Srcs))
 	for _, s := range x.Srcs {
-		a := sentAt[s.Node]
-		a.Bytes += s.Bytes
-		a.Count += s.Count
-		sentAt[s.Node] = a
+		a := xn.at(s.Node)
+		a.sent += s.Bytes
+		a.count += s.Count
 	}
 	f := e.opt.MemCopyFactor
 	for _, s := range x.Srcs {
@@ -843,14 +855,15 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 			continue
 		}
 		e.totals.ShufBytes += s.Bytes * slots
-		e.totals.PerNodeShuffle[s.Node] += s.Bytes * slots
-		l := e.load(s.Node)
-		if ms := slotsAt[s.Node]; ms > 0 {
+		*e.shuffle.at(s.Node) += s.Bytes * slots
+		l := e.loads.at(s.Node)
+		ms := xn.get(s.Node).slots
+		if ms > 0 {
 			// Intra-node deliveries: two extra DRAM crossings, no NIC.
 			l.mem += pricing.IntraMemCopy(f, s.Bytes*ms)
 			l.msgs += s.Count * int(ms)
 		}
-		if inter := slots - slotsAt[s.Node]; inter > 0 {
+		if inter := slots - ms; inter > 0 {
 			e.totals.NetBytes += s.Bytes * inter
 			l.out += s.Bytes * inter
 			l.mem += pricing.MemCopy(f, s.Bytes*inter)
@@ -863,24 +876,33 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		if d.Slots == 0 {
 			continue
 		}
-		own := sentAt[d.Node]
-		recvBytes := (totalBytes - own.Bytes) * int64(d.Slots)
+		own := xn.get(d.Node)
+		recvBytes := (totalBytes - own.sent) * int64(d.Slots)
 		if recvBytes == 0 {
 			continue
 		}
-		e.totals.PerNodeShuffle[d.Node] += recvBytes
-		l := e.load(d.Node)
+		*e.shuffle.at(d.Node) += recvBytes
+		l := e.loads.at(d.Node)
 		l.in += recvBytes
 		l.mem += pricing.MemCopy(f, recvBytes)
-		l.msgs += (totalCount - own.Count) * d.Slots
+		l.msgs += (totalCount - own.count) * d.Slots
 	}
+	xn.reset()
 	return commBytes, msgs
+}
+
+// exchangeNode is one node's share of an Exchange: the slots it hosts
+// and what its sources send, for splitting off intra-node traffic.
+type exchangeNode struct {
+	slots int64
+	sent  int64
+	count int
 }
 
 // accIOOp accumulates one storage access into the round's node and
 // target loads. Storage accesses also traverse the issuing node's NIC
 // and DRAM.
-func (e *Engine) accIOOp(op IOOp) {
+func (e *Engine) accIOOp(op *IOOp) {
 	if op.Bytes < 0 {
 		panic("sim: negative I/O size")
 	}
@@ -892,14 +914,14 @@ func (e *Engine) accIOOp(op IOOp) {
 	}
 	e.totals.IOBytes += op.Bytes
 	e.totals.Requests += op.Requests
-	l := e.load(op.Node)
+	l := e.loads.at(op.Node)
 	if op.Write {
 		l.out += op.Bytes
 	} else {
 		l.in += op.Bytes
 	}
 	l.mem += pricing.MemCopy(e.opt.MemCopyFactor, op.Bytes)
-	tl := e.target(op.Target)
+	tl := e.targets.at(op.Target)
 	if op.DelaySeconds < 0 {
 		panic("sim: negative I/O delay")
 	}
@@ -915,8 +937,9 @@ func (e *Engine) accIOOp(op IOOp) {
 	if f := e.targetSlowdown(op.Target); f > 1 && !op.Degraded {
 		delay += unpaged * (f - 1)
 	}
-	tl.time += unpaged*e.pagedSlowdown(op.Node) + delay
-	tl.pagedExcess += unpaged * (e.pagedSlowdown(op.Node) - 1)
+	paged := e.pagedSlowdown(op.Node)
+	tl.time += unpaged*paged + delay
+	tl.pagedExcess += unpaged * (paged - 1)
 	tl.delay += delay
 	tl.bytes += op.Bytes
 	tl.requests += op.Requests
@@ -960,8 +983,8 @@ func (e *Engine) runRound(r Round, recovery bool) RoundCost {
 	for _, m := range r.Messages {
 		e.accMessage(m.SrcNode, m.DstNode, m.Bytes, 1)
 	}
-	for _, op := range r.IOOps {
-		e.accIOOp(op)
+	for i := range r.IOOps {
+		e.accIOOp(&r.IOOps[i])
 	}
 	var commBytes, ioBytes int64
 	for _, m := range r.Messages {
@@ -981,22 +1004,13 @@ func (e *Engine) runRound(r Round, recovery bool) RoundCost {
 // the trace entry; commBytes/ioBytes/ioDir summarize the round's
 // traffic for the same consumers.
 func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int, commBytes, ioBytes int64, ioDir string) RoundCost {
-	loads, targets := e.scLoads, e.scTargets
+	loads, targets := e.loads.vals, e.targets.vals
 
 	// Node iteration is sorted so bottleneck ties and emitted spans are
 	// deterministic run to run.
-	nodeIDs := e.scNodeIDs[:0]
-	for n := range loads {
-		nodeIDs = append(nodeIDs, n)
-	}
+	nodeIDs, targetIDs := e.loads.ids, e.targets.ids
 	sort.Ints(nodeIDs)
-	e.scNodeIDs = nodeIDs
-	targetIDs := e.scTargetIDs[:0]
-	for t := range targets {
-		targetIDs = append(targetIDs, t)
-	}
 	sort.Ints(targetIDs)
-	e.scTargetIDs = targetIDs
 
 	binding := Binding{CommNode: -1, IOTarget: -1}
 	var comm, commPagedFrac float64
@@ -1005,7 +1019,7 @@ func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int
 	}
 	nodeTime := e.scNodeTime[:len(nodeIDs)] // every slot is written below
 	for i, n := range nodeIDs {
-		l := loads[n]
+		l := &loads[n]
 		slow := e.pagedSlowdown(n) * e.nodeSlowdown(n)
 		t, res, tlat := pricing.CommTime(pricing.NodeLoad{In: l.in, Out: l.out, Mem: l.mem, Msgs: l.msgs},
 			e.mc.NICBandwidth, slow, e.effMemBW(n), e.mc.NetLatency)
@@ -1096,9 +1110,9 @@ type roundEmit struct {
 	binding   Binding
 	nodeIDs   []int
 	nodeTime  []float64
-	loads     map[int]*nodeLoad
+	loads     []nodeLoad // indexed by node id
 	targetIDs []int
-	targets   map[int]*targetLoad
+	targets   []targetLoad // indexed by target id
 	commBytes int64
 	ioBytes   int64
 	recovery  bool
@@ -1134,7 +1148,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		eo.histogram("sim.recovery_seconds", "", 0).Observe(r.rc.Time)
 	}
 	for i, n := range r.nodeIDs {
-		l := r.loads[n]
+		l := &r.loads[n]
 		eo.counter("net.bytes_out", "node", n).Add(l.out)
 		eo.counter("net.bytes_in", "node", n).Add(l.in)
 		eo.counter("net.mem_bytes", "node", n).Add(l.mem)
@@ -1142,7 +1156,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		eo.histogram("net.node_seconds", "node", n).Observe(r.nodeTime[i])
 	}
 	for _, t := range r.targetIDs {
-		tl := r.targets[t]
+		tl := &r.targets[t]
 		eo.histogram("pfs.queue_depth", "ost", t).Observe(float64(tl.requests))
 		eo.histogram("pfs.target_seconds", "ost", t).Observe(tl.time)
 	}
@@ -1199,7 +1213,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		if r.nodeTime[i] <= 0 {
 			continue
 		}
-		l := r.loads[n]
+		l := &r.loads[n]
 		eo.nameTID(tidNodeBase+n, fmt.Sprintf("node %d shuffle", n))
 		span := tr.Begin(eo.pid, tidNodeBase+n, "shuffle", commStart,
 			obs.A("out_bytes", strconv.FormatInt(l.out, 10)),
@@ -1209,7 +1223,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		span.End(commStart + r.nodeTime[i])
 	}
 	for _, t := range r.targetIDs {
-		tl := r.targets[t]
+		tl := &r.targets[t]
 		if tl.time <= 0 {
 			continue
 		}
@@ -1271,9 +1285,9 @@ func (e *Engine) AddRecoveryLatency(seconds float64, kind string) {
 // Totals returns a copy of the accumulated accounting.
 func (e *Engine) Totals() Totals {
 	t := e.totals
-	t.PerNodeShuffle = make(map[int]int64, len(e.totals.PerNodeShuffle))
-	for k, v := range e.totals.PerNodeShuffle {
-		t.PerNodeShuffle[k] = v
+	t.PerNodeShuffle = make(map[int]int64, len(e.shuffle.ids))
+	for _, n := range e.shuffle.ids {
+		t.PerNodeShuffle[n] = e.shuffle.vals[n]
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +302,32 @@ func TestPanicsOnBadInput(t *testing.T) {
 		}()
 		e.AddLatency(-1)
 	}()
+
+	// Ids outside the engine's range panic at the boundary with a
+	// message naming the id (testEngine has 8 targets).
+	for name, tc := range map[string]struct {
+		call func(e *Engine)
+		id   string
+	}{
+		"negative message node": {func(e *Engine) { e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: -3, Bytes: 1}}}) }, "-3"},
+		"negative io node":      {func(e *Engine) { e.RunRound(Round{IOOps: []IOOp{{Target: 0, Node: -4, Bytes: 1, Requests: 1}}}) }, "-4"},
+		"negative agg node":     {func(e *Engine) { e.SetAggregators([]AggregatorPlacement{{Node: -5}}) }, "-5"},
+		"negative slow node":    {func(e *Engine) { e.SetNodeSlowdown(-6, 2) }, "-6"},
+		"negative paged node":   {func(e *Engine) { e.SetNodePaged(-7, 0.5) }, "-7"},
+		"negative slow target":  {func(e *Engine) { e.SetTargetSlowdown(-1, 2) }, "-1"},
+		"slow target too high":  {func(e *Engine) { e.SetTargetSlowdown(8, 2) }, "8"},
+	} {
+		e := testEngine(t, DefaultOptions())
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sim: ") || !strings.Contains(msg, " "+tc.id) {
+					t.Errorf("%s: panic %q, want one naming id %s", name, msg, tc.id)
+				}
+			}()
+			tc.call(e)
+		}()
+	}
 }
 
 // Property: round time is monotone in message size and always non-negative.
