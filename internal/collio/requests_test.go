@@ -1,6 +1,8 @@
 package collio_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +42,10 @@ func TestBadRequestsRejectedEverywhere(t *testing.T) {
 		}, false},
 		{"negative rank", "rank -3", func(reqs []collio.RankRequest) { reqs[3].Rank = -3 }, false},
 		{"rank past the world", "rank 99", func(reqs []collio.RankRequest) { reqs[3].Rank = 99 }, true},
+		{"repeated rank", "rank 0 ", func(reqs []collio.RankRequest) {
+			reqs[0].Extents = []pfs.Extent{{Offset: 0, Length: 10}}
+			reqs[3] = collio.RankRequest{Rank: 0, Extents: []pfs.Extent{{Offset: 20, Length: 10}, {Offset: 40, Length: 10}, {Offset: 60, Length: 10}}}
+		}, false},
 	}
 	for _, c := range cases {
 		reqs := good()
@@ -63,5 +69,22 @@ func TestBadRequestsRejectedEverywhere(t *testing.T) {
 				t.Errorf("%s: %s Validate err = %v, want %v", c.name, s.Name(), err, want)
 			}
 		}
+	}
+}
+
+// TestRepeatedRankSparse checks the repeated-rank gate when it has no
+// topology to bound ranks by, as in Plan.Validate: a rank far past the
+// request count must be checked without a seen-set that large.
+func TestRepeatedRankSparse(t *testing.T) {
+	const far = 1 << 50
+	ext := func(off int64) []pfs.Extent { return []pfs.Extent{{Offset: off, Length: 10}} }
+	reqs := []collio.RankRequest{{Rank: 0, Extents: ext(0)}, {Rank: far, Extents: ext(20)}}
+	if _, err := collio.CheckRequests(math.MaxInt, reqs); err != nil {
+		t.Fatalf("distinct sparse ranks rejected: %v", err)
+	}
+	reqs = append(reqs, collio.RankRequest{Rank: far, Extents: ext(40)})
+	_, err := collio.CheckRequests(math.MaxInt, reqs)
+	if want := fmt.Sprintf("rank %d has more than one request", far); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("repeated sparse rank: err = %v, want %q", err, want)
 	}
 }

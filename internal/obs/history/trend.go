@@ -149,6 +149,10 @@ type Verdict struct {
 	// Ungated marks an ok series with no comparable earlier record:
 	// nothing was checked, which is not the same as passing a check.
 	Ungated bool
+	// DriftNeeds is the run count the drift detector waits for
+	// (Options.MinRuns) when the series is shorter: it was checked for
+	// steps only. Zero once drift was checked too.
+	DriftNeeds int
 }
 
 // Flagged reports whether this verdict should fail a gate.
@@ -165,6 +169,8 @@ func (v *Verdict) Status() string {
 		return "not yet gated: no earlier run on this host"
 	case v.Ungated:
 		return "not yet gated: no earlier run"
+	case v.DriftNeeds > 0:
+		return fmt.Sprintf("ok (step-checked; drift needs %d runs)", v.DriftNeeds)
 	}
 	return "ok"
 }
@@ -303,20 +309,22 @@ func classify(s *Series, opt Options) Verdict {
 	// fitted relative change across the whole series is b·(n-1)/a.
 	// Each individual run may be well inside tolerance — that is the
 	// slow-compounding regression the pairwise gate cannot see.
-	if n >= opt.minRuns() {
-		a, b := leastSquares(vals)
-		base := a
-		if base == 0 {
-			base = mean(vals)
-		}
-		if base != 0 {
-			v.SlopePerRun = b / base
-			v.TotalRel = b * float64(n-1) / base
-			if bad(s.Better, v.TotalRel, tol) {
-				v.Kind = "drift"
-				v.Why = fmt.Sprintf("drift of %+.2f%%/run accumulating to %+.1f%% over %d runs (tol %.1f%%)",
-					v.SlopePerRun*100, v.TotalRel*100, n, tol*100)
-			}
+	if n < opt.minRuns() {
+		v.DriftNeeds = opt.minRuns()
+		return v
+	}
+	a, b := leastSquares(vals)
+	base := a
+	if base == 0 {
+		base = mean(vals)
+	}
+	if base != 0 {
+		v.SlopePerRun = b / base
+		v.TotalRel = b * float64(n-1) / base
+		if bad(s.Better, v.TotalRel, tol) {
+			v.Kind = "drift"
+			v.Why = fmt.Sprintf("drift of %+.2f%%/run accumulating to %+.1f%% over %d runs (tol %.1f%%)",
+				v.SlopePerRun*100, v.TotalRel*100, n, tol*100)
 		}
 	}
 	return v

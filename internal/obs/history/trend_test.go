@@ -168,6 +168,40 @@ func TestShortSeriesAndMissingEntriesAreOk(t *testing.T) {
 	}
 }
 
+// TestThreeRunSeriesSaysDriftUnchecked pins what a series shorter than
+// MinRuns reports: it was checked for steps, not for drift, and says so
+// without being flagged. The 3%-per-run decline stays inside the step
+// tolerance at every run, and its fitted 6% total would be drift at
+// MinRuns; a plain "ok" would claim a check that never ran.
+func TestThreeRunSeriesSaysDriftUnchecked(t *testing.T) {
+	recs := driftHistory(3, 0.03)
+	tr := Trend(recs, Options{})
+	if len(tr.Flagged()) != 0 {
+		t.Fatalf("3-run history flagged: %v", tr.Flagged())
+	}
+	for _, v := range tr.Verdicts {
+		if len(v.Series.Points) != 3 {
+			continue
+		}
+		if v.Ungated || v.DriftNeeds != 4 || v.SlopePerRun != 0 {
+			t.Errorf("%s: ungated=%v driftNeeds=%d slope=%v, want step-checked only",
+				v.Series.Label(), v.Ungated, v.DriftNeeds, v.SlopePerRun)
+		}
+		if got, want := v.Status(), "ok (step-checked; drift needs 4 runs)"; got != want {
+			t.Errorf("%s status %q, want %q", v.Series.Label(), got, want)
+		}
+	}
+	if !strings.Contains(tr.Render(), "ok (step-checked; drift needs 4 runs)") {
+		t.Errorf("render hides the unchecked drift:\n%s", tr.Render())
+	}
+	// At MinRuns the drift detector speaks and the plain "ok" returns.
+	for _, v := range Trend(driftHistory(4, 0), Options{}).Verdicts {
+		if len(v.Series.Points) == 4 && (v.DriftNeeds != 0 || v.Status() != "ok") {
+			t.Errorf("%s: 4-run steady series status %q", v.Series.Label(), v.Status())
+		}
+	}
+}
+
 // TestTrendRenderGolden pins the verdict-table rendering — the exact
 // bytes `mcio trend` prints for a fixed synthetic history.
 func TestTrendRenderGolden(t *testing.T) {

@@ -51,7 +51,8 @@ func normalized(exts []Extent) []Extent {
 // NormalizeExtents sorts extents by offset and merges adjacent or
 // overlapping ones, dropping empty extents. The result is the canonical
 // minimal representation of the same byte set. It does not modify its
-// argument.
+// argument. Lists that are each canonical already need no sort: their
+// union is a merge (collio.CheckRequests).
 func NormalizeExtents(exts []Extent) []Extent {
 	var out []Extent
 	for _, e := range exts {
@@ -62,17 +63,9 @@ func NormalizeExtents(exts []Extent) []Extent {
 			out = append(out, e)
 		}
 	}
-	return Coalesce(out)
-}
-
-// Coalesce is NormalizeExtents in place for a list of non-empty extents
-// the caller owns: it sorts exts by offset, merges adjacent or
-// overlapping extents, and returns the canonical result in a prefix of
-// exts.
-func Coalesce(exts []Extent) []Extent {
-	slices.SortFunc(exts, func(a, b Extent) int { return cmp.Compare(a.Offset, b.Offset) })
-	merged := exts[:0]
-	for _, e := range exts {
+	slices.SortFunc(out, func(a, b Extent) int { return cmp.Compare(a.Offset, b.Offset) })
+	merged := out[:0]
+	for _, e := range out {
 		if n := len(merged); n > 0 && e.Offset <= merged[n-1].End() {
 			if e.End() > merged[n-1].End() {
 				merged[n-1].Length = e.End() - merged[n-1].Offset
