@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,21 +21,76 @@ import (
 // testScale keeps CLI-level runs fast; shapes are scale-invariant.
 const testScale = 256
 
+// TestExperimentListSingleSource pins the names every registry
+// subcommand accepts, and checks that its unknown-name error lists
+// exactly those names, in order.
 func TestExperimentListSingleSource(t *testing.T) {
-	// The usage text and the unknown-experiment error must both be
-	// derived from allExperiments — every name appears in both.
-	usage := expUsage()
-	errMsg := unknownExpErr("bogus").Error()
-	for _, name := range allExperiments {
-		if !strings.Contains(usage, name) {
-			t.Errorf("usage text misses experiment %q: %s", name, usage)
+	for _, tc := range []struct {
+		sub  bench.Subcommand
+		want []string
+	}{
+		{bench.ExpCmd, []string{"table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
+			"motivation", "comparison", "random", "plan", "scaling",
+			"trajectory", "blame", "trace", "tune", "ablation", "faults", "all"}},
+		{bench.BenchCmd, []string{"fig6", "fig7", "fig8", "fig-exa", "fig-exa-faults",
+			"trajectory", "faults", "chaos", "chaos-gray"}},
+		{bench.ObserveCmd, []string{"fig6", "fig7", "fig8"}},
+		{bench.ProfileCmd, []string{"fig6", "fig7", "fig8", "gray"}},
+		{bench.ChaosCmd, []string{"corruption", "gray"}},
+	} {
+		if got := tc.sub.Names(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s accepts %v, want %v", tc.sub.Name, got, tc.want)
 		}
-		if !strings.Contains(errMsg, name) {
-			t.Errorf("unknown-exp error misses experiment %q: %s", name, errMsg)
+		_, err := tc.sub.Lookup("bogus")
+		if err == nil {
+			t.Fatalf("%s accepted an unknown name", tc.sub.Name)
+		}
+		msg := err.Error()
+		open := strings.Index(msg, "(valid: ")
+		if open < 0 || !strings.HasSuffix(msg, ")") {
+			t.Fatalf("%s: unknown-name error lists no names: %s", tc.sub.Name, msg)
+		}
+		if listed := strings.Split(msg[open+len("(valid: "):len(msg)-1], ", "); !slices.Equal(listed, tc.want) {
+			t.Errorf("%s: unknown-name error lists %v, want %v", tc.sub.Name, listed, tc.want)
 		}
 	}
-	if !strings.HasSuffix(usage, ", all") || !strings.Contains(errMsg, ", all") {
-		t.Errorf("usage/error must offer 'all': %q / %q", usage, errMsg)
+}
+
+// TestBenchEngineFromRegistry drives `mcio bench -engine fast` against
+// the engines each experiment declares: an experiment without the fast
+// engine fails before it runs, naming the engines it supports; fig6 and
+// faults, which declare both engines, run.
+func TestBenchEngineFromRegistry(t *testing.T) {
+	for _, e := range bench.BenchCmd.Entries() {
+		if len(e.Engines) == 0 {
+			t.Errorf("%s has a ledger but declares no engine", e.Name)
+		}
+		if slices.Contains(e.Engines, bench.EngineFast) {
+			continue
+		}
+		var out bytes.Buffer
+		err := runBench([]string{e.Name, "-engine", bench.EngineFast}, &out)
+		if err == nil {
+			t.Fatalf("%s: -engine fast accepted", e.Name)
+		}
+		if want := "supported: " + strings.Join(e.Engines, ", "); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: rejection %q does not name %q", e.Name, err, want)
+		}
+	}
+	for _, name := range []string{"trajectory", "chaos", "chaos-gray"} {
+		e, err := bench.BenchCmd.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(e.Engines, bench.EngineFast) {
+			t.Errorf("%s declares the fast engine %v, but nothing it runs prices on it", name, e.Engines)
+		}
+	}
+	for _, name := range []string{"fig6", "faults"} {
+		var out bytes.Buffer
+		if err := runBench([]string{name, "-engine", bench.EngineFast, "-scale", strconv.Itoa(testScale)}, &out); err != nil {
+			t.Fatalf("%s -engine fast: %v", name, err)
+		}
 	}
 }
 
@@ -69,7 +125,7 @@ func TestRunDiffFlagsInjectedRegression(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	rec, err := bench.Ledger("fig7", testScale, 1)
+	rec, err := bench.Ledger("fig7", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ package bench
 
 import (
 	"fmt"
-	"sync"
+	"io"
 
 	"mcio/internal/cliutil"
 	"mcio/internal/collio"
@@ -43,52 +43,6 @@ const (
 // Engines lists the pricing engines a sweep can run on, in display
 // order — the single source of truth for the CLI's -engine usage text.
 var Engines = []string{EngineBytes, EngineFast}
-
-// engineOverride, when set, replaces every sweep Config's engine — how
-// `mcio bench -engine` forces a whole run onto one pricing path. Like
-// SetParallelism this cannot change any result: the engines price
-// bit-identically (the cross-check invariant); only run time differs.
-var engineOverride struct {
-	sync.Mutex
-	name string
-}
-
-// SetEngine sets the process-wide pricing-engine override; "" restores
-// each experiment's own choice. Unknown names are rejected against
-// Engines.
-func SetEngine(name string) error {
-	if name != "" && name != EngineBytes && name != EngineFast {
-		return cliutil.UnknownChoice("engine", name, Engines)
-	}
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	engineOverride.name = name
-	return nil
-}
-
-// currentEngineOverride returns the process-wide engine override, or ""
-// when each experiment picks its own. Experiments that cannot honor an
-// override (the chaos campaigns execute real byte-level collectives)
-// read it to reject rather than silently ignore.
-func currentEngineOverride() string {
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	return engineOverride.name
-}
-
-// engine resolves the pricing engine a sweep over c runs on: the
-// process-wide override when set, else c.Engine, else the byte path.
-func (c Config) engine() string {
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	if engineOverride.name != "" {
-		return engineOverride.name
-	}
-	if c.Engine != "" {
-		return c.Engine
-	}
-	return EngineBytes
-}
 
 // Config fixes one experiment's platform and sweep.
 type Config struct {
@@ -127,7 +81,7 @@ type Config struct {
 	// means the paper's testbed.
 	Preset string
 	// Engine selects the pricing engine (Engines); empty means the byte
-	// path.
+	// path. The experiment registry sets it from `mcio bench -engine`.
 	Engine string
 }
 
@@ -217,13 +171,14 @@ func (c Config) nahOrDefault() int {
 	return 4
 }
 
-// context builds the planning context for one sweep point. zs is the
-// per-node standard-normal draw shared by the whole sweep (common random
+// context builds the planning context for the sweep point memMB
+// (paper-scale mean MB per aggregator). Every context of one config
+// draws the same per-node standard normals from c.Seed (common random
 // numbers: the relative memory endowment of each node is a property of
 // the machine state, not of the sweep point, so curves stay smooth).
 // totalBytes is the workload volume, used to floor Msg_ind so the domain
 // count does not exceed the machine's aggregator slots (Nah per node).
-func (c Config) context(memMean int64, zs []float64, totalBytes int64) (*collio.Context, error) {
+func (c Config) context(memMB int, totalBytes int64) (*collio.Context, error) {
 	topo, err := mpi.BlockTopology(c.Ranks, c.RanksPerNode)
 	if err != nil {
 		return nil, err
@@ -246,11 +201,13 @@ func (c Config) context(memMean int64, zs []float64, totalBytes int64) (*collio.
 	if headroom <= 0 {
 		headroom = 1
 	}
+	memMean := c.scaled(int64(memMB) * MB)
 	sigma := float64(c.scaled(int64(c.SigmaMB * float64(MB))))
 	floor := c.scaled(64 << 10) // starved nodes keep only a sliver
+	r := stats.NewRNG(c.Seed)
 	avail := make([]int64, topo.Nodes())
 	for i := range avail {
-		v := int64(float64(memMean)*headroom + sigma*zs[i])
+		v := int64(float64(memMean)*headroom + sigma*r.Normal(0, 1))
 		if v < floor {
 			v = floor
 		}
@@ -336,17 +293,7 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 	// Per-round traces feed the run ledger's blame attribution; the cost
 	// is a few records per round, negligible next to the pricing itself.
 	opt.Trace = true
-	// Resolve the pricing engine once so all cells of a sweep agree even
-	// if the override changes mid-run.
-	engine := cfg.engine()
 	series := &Series{Name: cfg.Name, Workload: workloadName, Config: cfg}
-	// One standard-normal endowment per node for the whole sweep.
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
 	// Every (memory point × strategy) cell is an independent plan+cost
 	// simulation; ForEach fans them across the worker pool. Results land
 	// in per-cell slots flattened in index order, so the series — and
@@ -363,11 +310,10 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		c := cells[ci]
 		memMB := cfg.MemMB[c.pi]
 		s := strategies[c.si]
-		memMean := cfg.scaled(int64(memMB) * MB)
 		// Same availability state for both strategies and both
 		// directions: they face the identical machine, as in the
 		// paper's runs.
-		ctx, err := cfg.context(memMean, zs, wl.TotalBytes())
+		ctx, err := cfg.context(memMB, wl.TotalBytes())
 		if err != nil {
 			return err
 		}
@@ -381,7 +327,7 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		price := func(op collio.Op) (*collio.CostResult, error) {
 			return collio.Cost(ctx, plan, reqs, op, opt)
 		}
-		if engine == EngineFast {
+		if cfg.Engine == EngineFast {
 			fs, err := fastsim.New(ctx, plan, reqs)
 			if err != nil {
 				return err
@@ -457,14 +403,7 @@ func TuneWorkload(cfg Config, wl Workload) (*tuner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	memMean := cfg.scaled(int64(cfg.MemMB[0]) * MB)
-	ctx, err := cfg.context(memMean, zs, wl.TotalBytes())
+	ctx, err := cfg.context(cfg.MemMB[0], wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -485,13 +424,7 @@ func PlansAt(cfg Config, memMB int) ([]*collio.Plan, mpi.Topology, error) {
 	if err != nil {
 		return nil, mpi.Topology{}, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(memMB, wl.TotalBytes())
 	if err != nil {
 		return nil, mpi.Topology{}, err
 	}
@@ -504,4 +437,34 @@ func PlansAt(cfg Config, memMB int) ([]*collio.Plan, mpi.Topology, error) {
 		plans = append(plans, plan)
 	}
 	return plans, ctx.Topo, nil
+}
+
+// tuneText runs the parameter auto-tuner (the paper's deferred "optimal
+// values" study) on the Figure 7 workload and prints the search table.
+func tuneText(w io.Writer, a Args) error {
+	cfg := Fig7Config(a.Scale, a.Seed)
+	cfg.MemMB = []int{16}
+	wl, name := Fig7Workload(cfg)
+	res, err := TuneWorkload(cfg, wl)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "parameter auto-tuning on %s\n", name)
+	fmt.Fprintln(w, res.Render(8))
+	return nil
+}
+
+// planText prints both strategies' placement decisions for the Figure 7
+// workload at 8 MB — the "where did my aggregators go" view.
+func planText(w io.Writer, a Args) error {
+	cfg := Fig7Config(a.Scale, a.Seed)
+	cfg.MemMB = []int{8}
+	plans, topo, err := PlansAt(cfg, 8)
+	if err != nil {
+		return err
+	}
+	for _, p := range plans {
+		fmt.Fprintln(w, p.Describe(topo))
+	}
+	return nil
 }

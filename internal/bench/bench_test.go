@@ -439,11 +439,7 @@ func TestPlansAt(t *testing.T) {
 // cell of the sweep identically — the fast path's exactness contract on
 // the exascale experiment's own workload shape.
 func TestFigExaEnginesMatchSmall(t *testing.T) {
-	cfg := FigExaConfig(testScale, 42)
-	cfg.Ranks = 600
-	cfg.RanksPerNode = 6
-	cfg.Targets = 16
-	wl, name := FigExaWorkload(cfg)
+	cfg, wl, name := figExaSmall()
 	fast, err := RunSweep(cfg, wl, name)
 	if err != nil {
 		t.Fatal(err)
@@ -464,46 +460,92 @@ func TestFigExaEnginesMatchSmall(t *testing.T) {
 	}
 }
 
+// figExaSmall is the fig-exa sweep shrunk to a byte-path-feasible
+// size: 600 ranks on 100 nodes, 16 targets, at testScale.
+func figExaSmall() (Config, Workload, string) {
+	cfg := FigExaConfig(testScale, 42)
+	cfg.Ranks = 600
+	cfg.RanksPerNode = 6
+	cfg.Targets = 16
+	wl, name := FigExaWorkload(cfg)
+	return cfg, wl, name
+}
+
+// TestFigExaPaperClaimsSmall pins the exascale extrapolation's claims on
+// the reduced fig-exa sweep, as TestFig7ShapeMatchesPaper pins Figure
+// 7's: at every memory point the two-phase baseline pages a large share
+// of its nodes (about half), the memory-conscious strategy pages at most
+// one, and memory-conscious is faster in every (memory, op) cell.
+func TestFigExaPaperClaimsSmall(t *testing.T) {
+	cfg, wl, name := figExaSmall()
+	s, err := RunSweep(cfg, wl, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := cfg.Ranks / cfg.RanksPerNode
+	for _, memMB := range cfg.MemMB {
+		for _, op := range []string{"write", "read"} {
+			tp := s.find(memMB, "two-phase", op)
+			mc := s.find(memMB, "memory-conscious", op)
+			if tp == nil || mc == nil {
+				t.Fatalf("mem=%d %s: sweep cell missing", memMB, op)
+			}
+			if frac := float64(tp.Result.PagedAggregators) / float64(nodes); frac < 0.3 || frac > 0.7 {
+				t.Errorf("mem=%d %s: two-phase pages %d of %d nodes (%.2f), want a fraction in [0.3, 0.7]",
+					memMB, op, tp.Result.PagedAggregators, nodes, frac)
+			}
+			if mc.Result.PagedAggregators > 1 {
+				t.Errorf("mem=%d %s: memory-conscious pages %d aggregators, want at most 1",
+					memMB, op, mc.Result.PagedAggregators)
+			}
+			if mc.MBps <= tp.MBps {
+				t.Errorf("mem=%d %s: memory-conscious %.1f MB/s is not above two-phase %.1f MB/s",
+					memMB, op, mc.MBps, tp.MBps)
+			}
+		}
+	}
+}
+
 // TestEnginesMatchAllFigures cross-checks the two pricing engines on
-// every cell of every figure sweep: fig6, fig7 and fig8 priced under
-// the byte path and the fast path must agree bit for bit — seconds,
-// totals, blame traces, everything in the CostResult. This is the CI
-// cross-check gate; it drives the engines through the SetEngine
-// override, so the `mcio bench -engine` path is what is being proven.
+// every cell of every figure sweep: each registry figure priced on every
+// engine its entry declares must agree bit for bit — seconds, totals,
+// blame traces, everything in the CostResult. This is the CI
+// cross-check gate; it runs the sweeps through runFigure with the
+// engine set the way Ledger sets it, so the `mcio bench -engine` path
+// is what is being proven.
 func TestEnginesMatchAllFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full figure sweeps, twice each")
 	}
-	if err := SetEngine("warp"); err == nil {
-		t.Fatal("SetEngine accepted an unknown engine")
+	if _, err := Ledger("fig6", testScale, 42, "warp"); err == nil {
+		t.Fatal("Ledger accepted an unknown engine")
 	}
-	defer SetEngine("")
-	figures := []struct {
-		name string
-		run  func(int64, uint64) (*Series, error)
-	}{{"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}}
+	figures := ObserveCmd.Entries()
+	if len(figures) != 3 {
+		t.Fatalf("registry declares %d figures, want fig6, fig7 and fig8", len(figures))
+	}
 	for _, fig := range figures {
+		if !reflect.DeepEqual(fig.Engines, Engines) {
+			t.Fatalf("%s declares engines %v, want every engine %v", fig.Name, fig.Engines, Engines)
+		}
 		byEngine := map[string]*Series{}
-		for _, eng := range Engines {
-			if err := SetEngine(eng); err != nil {
-				t.Fatal(err)
-			}
-			s, err := fig.run(testScale, 42)
+		for _, eng := range fig.Engines {
+			s, err := runFigure(fig.Figure, Args{Scale: testScale, Seed: 42, Engine: eng})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", fig.name, eng, err)
+				t.Fatalf("%s/%s: %v", fig.Name, eng, err)
 			}
 			byEngine[eng] = s
 		}
 		fast, bytes := byEngine[EngineFast], byEngine[EngineBytes]
 		if len(fast.Points) != len(bytes.Points) || len(fast.Points) == 0 {
 			t.Fatalf("%s: point counts diverge: fast %d, bytes %d",
-				fig.name, len(fast.Points), len(bytes.Points))
+				fig.Name, len(fast.Points), len(bytes.Points))
 		}
 		for i := range fast.Points {
 			f, b := fast.Points[i], bytes.Points[i]
 			if !reflect.DeepEqual(f.Result, b.Result) {
 				t.Errorf("%s cell %s/%s/mem=%d: engines diverge",
-					fig.name, f.Strategy, f.Op, f.MemMB)
+					fig.Name, f.Strategy, f.Op, f.MemMB)
 			}
 		}
 	}

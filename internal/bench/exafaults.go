@@ -6,7 +6,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/faults"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 // FigExaFaultsConfig is the resilience counterpart of FigExaConfig: the
@@ -123,13 +122,7 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(cfg.MemMB[0])*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(cfg.MemMB[0], wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -137,14 +130,13 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
-	engine := cfg.engine()
 
 	// Fault-free references per strategy set the horizon (4× the clean
 	// run) and the overhead denominator, as in the bench-scale sweep.
 	strategies := []string{"two-phase", "memory-conscious"}
 	refs := make([]float64, len(strategies))
 	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0), engine)
+		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0), cfg.Engine)
 		if err != nil {
 			return err
 		}
@@ -161,8 +153,8 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 		cell := cells[ci/len(strategies)]
 		si := ci % len(strategies)
 		strategy := strategies[si]
-		spec := exaFaultSpec(cfg.Seed, refs[si]*4, nodes, cell)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec, engine)
+		spec := exaFaultSpec(cfg.Seed, refs[si]*4, ctx.Topo.Nodes(), cell)
+		res, err := faultedRun(ctx, reqs, strategy, opt, spec, cfg.Engine)
 		if err != nil {
 			return fmt.Errorf("bench fig-exa-faults: %s at crash=%g strag=%g sev=%g: %w",
 				strategy, cell.Crash, cell.Frac, cell.Sev, err)

@@ -9,23 +9,27 @@ import (
 // TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to a
 // byte-path-feasible size and cross-checks that both engines price
 // every cell — crash remerges, stalls, stragglers and all — bit for
-// bit. Like TestEnginesMatchAllFigures it drives the SetEngine
-// override, so the `mcio bench fig-exa-faults -engine` path is what is
-// being proven.
+// bit. The engines come from the registry entry and reach the grid as
+// Config.Engine, the way exaFaultsLedger passes `mcio bench
+// fig-exa-faults -engine` on.
 func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fault grids, byte path included")
 	}
-	cfg := FigExaFaultsConfig(testScale, 42)
-	cfg.Ranks = 600
-	cfg.RanksPerNode = 6
-	cfg.Targets = 16
-	defer SetEngine("")
+	e, err := BenchCmd.Lookup("fig-exa-faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Engines) != 2 {
+		t.Fatalf("fig-exa-faults declares engines %v, want both", e.Engines)
+	}
 	byEngine := map[string][]ExaFaultPoint{}
-	for _, eng := range Engines {
-		if err := SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
+	for _, eng := range e.Engines {
+		cfg := FigExaFaultsConfig(testScale, 42)
+		cfg.Ranks = 600
+		cfg.RanksPerNode = 6
+		cfg.Targets = 16
+		cfg.Engine = eng
 		pts, err := figExaFaultsRunCfg(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
@@ -54,29 +58,23 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsFastEngine pins satellite semantics: the chaos
-// campaigns execute byte-level collectives (hedging, dedup, breaker
-// decisions are per-message) and must refuse the analytical engine
-// with a clear error instead of silently pricing something else.
+// TestChaosRejectsFastEngine pins the engine contract for experiments
+// that declare only the byte path: the chaos campaigns execute
+// byte-level collectives (hedging, dedup, breaker decisions are
+// per-message) and must refuse the analytical engine with an error that
+// names the engine they support, instead of silently running on bytes.
 func TestChaosRejectsFastEngine(t *testing.T) {
-	defer SetEngine("")
-	if err := SetEngine(EngineFast); err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"chaos", "chaos-gray"} {
-		_, err := Ledger(name, testScale, 42)
+		_, err := Ledger(name, testScale, 42, EngineFast)
 		if err == nil {
 			t.Fatalf("%s: Ledger accepted the fast engine", name)
 		}
-		if !strings.Contains(err.Error(), "cannot run on engine") {
+		if !strings.Contains(err.Error(), "cannot run on engine") || !strings.Contains(err.Error(), "supported: "+EngineBytes) {
 			t.Fatalf("%s: unhelpful rejection: %v", name, err)
 		}
 	}
 	// The byte engine, named explicitly, must still work.
-	if err := SetEngine(EngineBytes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Ledger("chaos", testScale, 42); err != nil {
+	if _, err := Ledger("chaos", testScale, 42, EngineBytes); err != nil {
 		t.Fatalf("chaos on explicit byte engine: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"mcio/internal/faults"
 	"mcio/internal/obs"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -73,9 +72,10 @@ type FaultPoint struct {
 }
 
 // faultSweepRun prices the IOR write workload of Figure 7 under
-// increasing fault rates for both strategies. Everything is a
-// deterministic function of (scale, seed).
-func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
+// increasing fault rates for both strategies on the given engine ("" is
+// the byte path). Everything is a deterministic function of (scale,
+// seed); the engine changes only how long pricing takes.
+func faultSweepRun(scale int64, seed uint64, engine string) ([]FaultPoint, error) {
 	cfg := Fig7Config(scale, seed)
 	cfg.Name = "faults"
 	cfg.MemMB = []int{16}
@@ -84,13 +84,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(16*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(16, wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +92,6 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
-	engine := cfg.engine()
 
 	// Fault-free reference per strategy: the overhead denominator and the
 	// fault horizon (schedules span 4× the clean run so mid-operation
@@ -152,7 +145,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 // fault-free run, time attributed to recovery, and the recovery-action
 // counts.
 func FaultSweep(scale int64, seed uint64) (*Table, error) {
-	points, err := faultSweepRun(scale, seed)
+	points, err := faultSweepRun(scale, seed, "")
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +195,7 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(memMB, wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +204,6 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	opt.Trace = true
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
-	engine := cfg.engine()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "observe faults: %s, %s, %d MB per aggregator, fault rate %g\n",
@@ -226,12 +212,12 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 		// Clean reference for the horizon, without tracing noise.
 		refCtx := *ctx
 		refCtx.Obs = nil
-		refRes, err := faultedRun(&refCtx, reqs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0), engine)
+		refRes, err := faultedRun(&refCtx, reqs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0), EngineBytes)
 		if err != nil {
 			return nil, err
 		}
 		spec := faults.DefaultSpec(seed, refRes.Seconds*4).WithRate(rate)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec, engine)
+		res, err := faultedRun(ctx, reqs, strategy, opt, spec, EngineBytes)
 		if err != nil {
 			return nil, err
 		}

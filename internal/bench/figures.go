@@ -2,8 +2,16 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"strings"
 
+	"mcio/internal/collio"
+	"mcio/internal/core"
+	"mcio/internal/machine"
+	"mcio/internal/mpi"
+	"mcio/internal/pfs"
+	"mcio/internal/twophase"
 	"mcio/internal/workload"
 )
 
@@ -49,15 +57,16 @@ func Fig6Workload(cfg Config) (Workload, string, error) {
 	return c, name, nil
 }
 
+func fig6(scale int64, seed uint64) (Config, Workload, string, error) {
+	cfg := Fig6Config(scale, seed)
+	wl, name, err := Fig6Workload(cfg)
+	return cfg, wl, name, err
+}
+
 // Fig6 regenerates Figure 6: coll_perf write and read bandwidth vs
 // per-aggregator memory, two-phase vs memory-conscious, 120 processes.
 func Fig6(scale int64, seed uint64) (*Series, error) {
-	cfg := Fig6Config(scale, seed)
-	wl, name, err := Fig6Workload(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunSweep(cfg, wl, name)
+	return runFigure(fig6, Args{Scale: scale, Seed: seed})
 }
 
 // Fig7Config is the platform of Figure 7: IOR, 120 processes, 32 MB of
@@ -90,12 +99,16 @@ func Fig7Workload(cfg Config) (Workload, string) {
 	return w, name
 }
 
+func fig7(scale int64, seed uint64) (Config, Workload, string, error) {
+	cfg := Fig7Config(scale, seed)
+	wl, name := Fig7Workload(cfg)
+	return cfg, wl, name, nil
+}
+
 // Fig7 regenerates Figure 7: IOR write and read bandwidth vs
 // per-aggregator memory at 120 cores.
 func Fig7(scale int64, seed uint64) (*Series, error) {
-	cfg := Fig7Config(scale, seed)
-	wl, name := Fig7Workload(cfg)
-	return RunSweep(cfg, wl, name)
+	return runFigure(fig7, Args{Scale: scale, Seed: seed})
 }
 
 // Fig8Config is the platform of Figure 8: IOR at 1080 processes (90
@@ -127,12 +140,16 @@ func Fig8Workload(cfg Config) (Workload, string) {
 	return w, name
 }
 
+func fig8(scale int64, seed uint64) (Config, Workload, string, error) {
+	cfg := Fig8Config(scale, seed)
+	wl, name := Fig8Workload(cfg)
+	return cfg, wl, name, nil
+}
+
 // Fig8 regenerates Figure 8: IOR write and read bandwidth vs
 // per-aggregator memory at 1080 cores.
 func Fig8(scale int64, seed uint64) (*Series, error) {
-	cfg := Fig8Config(scale, seed)
-	wl, name := Fig8Workload(cfg)
-	return RunSweep(cfg, wl, name)
+	return runFigure(fig8, Args{Scale: scale, Seed: seed})
 }
 
 // FigExaConfig is the extrapolation experiment the paper argues toward
@@ -172,9 +189,134 @@ func FigExaWorkload(cfg Config) (Workload, string) {
 	return w, name
 }
 
-// FigExa runs the exascale sweep on the fast path.
-func FigExa(scale int64, seed uint64) (*Series, error) {
+func figExa(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := FigExaConfig(scale, seed)
 	wl, name := FigExaWorkload(cfg)
-	return RunSweep(cfg, wl, name)
+	return cfg, wl, name, nil
+}
+
+// FigExa runs the exascale sweep on the fast path.
+func FigExa(scale int64, seed uint64) (*Series, error) {
+	return runFigure(figExa, Args{Scale: scale, Seed: seed})
+}
+
+// fig2 reproduces the paper's Figure 2 as a trace: six processes, two
+// aggregators, classic two-phase collective read.
+func fig2(w io.Writer, _ Args) error {
+	fmt.Fprintln(w, "Figure 2: two-phase collective I/O (6 processes, 2 aggregator nodes)")
+	topo, err := mpi.BlockTopology(6, 3)
+	if err != nil {
+		return err
+	}
+	mc := machine.Testbed640()
+	mc.Nodes = topo.Nodes()
+	ctx := &collio.Context{
+		Topo:    topo,
+		Machine: mc,
+		Avail:   []int64{mc.MemPerNode, mc.MemPerNode},
+		FS:      pfs.DefaultConfig(4),
+		Params:  collio.DefaultParams(256),
+	}
+	var reqs []collio.RankRequest
+	for r := 0; r < 6; r++ {
+		reqs = append(reqs, collio.RankRequest{
+			Rank:    r,
+			Extents: []pfs.Extent{{Offset: int64(r) * 512, Length: 512}},
+		})
+	}
+	plan, err := twophase.New().Plan(ctx, reqs)
+	if err != nil {
+		return err
+	}
+	for i, d := range plan.Domains {
+		fmt.Fprintf(w, "  file domain %d: bytes %d..%d -> aggregator rank %d on node %d\n",
+			i, d.Extents[0].Offset, d.Extents[len(d.Extents)-1].End(), d.Aggregator, d.AggNode)
+	}
+	fmt.Fprintln(w, "  phase 1 (I/O): each aggregator reads its file domain in buffer-sized rounds")
+	fmt.Fprintln(w, "  phase 2 (communication): aggregators scatter the data to the requesting processes")
+	fmt.Fprintln(w)
+	return nil
+}
+
+// fig4 reproduces the paper's Figure 4: aggregation-group division across
+// nine processes on three compute nodes with a serial data distribution.
+func fig4(w io.Writer, _ Args) error {
+	fmt.Fprintln(w, "Figure 4: aggregation group division (9 processes, 3 nodes, serial distribution)")
+	topo, err := mpi.BlockTopology(9, 3)
+	if err != nil {
+		return err
+	}
+	mc := machine.Testbed640()
+	mc.Nodes = topo.Nodes()
+	params := collio.DefaultParams(100)
+	params.MsgGroup = 800 // the tentative boundary lands mid-node and is extended
+	ctx := &collio.Context{
+		Topo:    topo,
+		Machine: mc,
+		Avail:   []int64{mc.MemPerNode, mc.MemPerNode, mc.MemPerNode},
+		FS:      pfs.DefaultConfig(4),
+		Params:  params,
+	}
+	var reqs []collio.RankRequest
+	for r := 0; r < 9; r++ {
+		reqs = append(reqs, collio.RankRequest{
+			Rank:    r,
+			Extents: []pfs.Extent{{Offset: int64(r) * 300, Length: 300}},
+		})
+	}
+	groups, err := core.DivideGroups(ctx, reqs)
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		ranks := make([]string, len(g.Ranks))
+		for i, r := range g.Ranks {
+			ranks[i] = fmt.Sprintf("P%d", r)
+		}
+		fmt.Fprintf(w, "  group %d: file [%d..%d) members %s (node boundary respected)\n",
+			g.Index, g.Region.Offset, g.Region.End(), strings.Join(ranks, " "))
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+// fig5 demonstrates the two partition-tree remerge cases of Figures 5a/5b.
+func fig5(w io.Writer, _ Args) error {
+	fmt.Fprintln(w, "Figure 5: file-domain remerge on the binary partition tree")
+	show := func(t *core.PartitionTree) {
+		for i, l := range t.Leaves() {
+			fmt.Fprintf(w, "    leaf %d: [%d..%d) %d bytes\n",
+				i, l.Extents[0].Offset, l.Extents[len(l.Extents)-1].End(), l.Bytes)
+		}
+	}
+	// Case 5a: sibling is a leaf.
+	t5a, err := core.BuildTree([]pfs.Extent{{Offset: 0, Length: 200}}, 100)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "  case 5a — before (sibling is a leaf):")
+	show(t5a)
+	if _, err := t5a.Remerge(t5a.Root.Left); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "  after removing the left leaf, its sibling takes over directly:")
+	show(t5a)
+
+	// Case 5b: sibling is an internal vertex; DFS finds the adjacent leaf.
+	t5b, err := core.BuildTree([]pfs.Extent{{Offset: 0, Length: 400}}, 100)
+	if err != nil {
+		return err
+	}
+	if _, err := t5b.Remerge(t5b.Root.Left.Left); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "  case 5b — before (left leaf's sibling subtree was further split):")
+	show(t5b)
+	if _, err := t5b.Remerge(t5b.Root.Left); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "  after removal, the DFS-adjacent leaf of the sibling subtree absorbs it:")
+	show(t5b)
+	fmt.Fprintln(w)
+	return nil
 }

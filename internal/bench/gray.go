@@ -19,11 +19,6 @@ import (
 	"mcio/internal/stats"
 )
 
-// ChaosCampaigns lists every `mcio chaos` campaign, in display order —
-// the single source of truth for the subcommand's usage text and its
-// unknown-campaign error, exactly as LedgerExperiments is for bench.
-var ChaosCampaigns = []string{"corruption", "gray"}
-
 // graySalt decorrelates the gray campaign's per-op seed stream from the
 // corruption soak's, so `chaos -gray -seed 1` and `chaos -seed 1` draw
 // independent workloads.

@@ -6,15 +6,10 @@ import (
 	"strconv"
 	"time"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/obs"
 	"mcio/internal/obs/analyze"
 )
-
-// LedgerExperiments lists every experiment Ledger can run, in display
-// order — the single source of truth for the CLI's usage text.
-var LedgerExperiments = []string{"fig6", "fig7", "fig8", "fig-exa", "fig-exa-faults", "trajectory", "faults", "chaos", "chaos-gray"}
 
 // chaosLedgerOps is the campaign length of the chaos ledger run: long
 // enough that detection/repair/degradation counts are meaningful, short
@@ -26,14 +21,21 @@ const chaosLedgerOps = 50
 // it is shorter than the corruption soak for the same CI budget.
 const grayLedgerOps = 20
 
-// Ledger runs one experiment and returns its run ledger — the stable
-// obs.RunRecord that `mcio bench -out` writes and `mcio diff` compares.
-// Supported experiments: fig6, fig7, fig8 (the bandwidth sweeps),
-// trajectory (Table 1 interpolation) and faults (the resilience sweep).
-// Every entry carries bandwidth, simulated wall time, round count and
-// the critical-path blame breakdown, so a ledger diff can say not just
-// "fig6 got slower" but "its paging share doubled".
-func Ledger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
+// Ledger runs one `mcio bench` experiment of the registry on engine
+// ("" picks the experiment's default) and returns its run ledger — the
+// stable obs.RunRecord that `mcio bench -out` writes and `mcio diff`
+// compares. An engine the experiment does not declare is rejected.
+// Every priced entry carries bandwidth, simulated wall time, round
+// count and the critical-path blame breakdown, so a ledger diff can say
+// not just "fig6 got slower" but "its paging share doubled".
+func Ledger(name string, scale int64, seed uint64, engine string) (*obs.RunRecord, error) {
+	e, err := BenchCmd.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if engine, err = e.resolveEngine(engine); err != nil {
+		return nil, err
+	}
 	rec := &obs.RunRecord{
 		Name: name,
 		Params: map[string]string{
@@ -41,114 +43,8 @@ func Ledger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
 			"seed":  strconv.FormatUint(seed, 10),
 		},
 	}
-	switch name {
-	case "fig6", "fig7", "fig8", "fig-exa":
-		var (
-			series *Series
-			err    error
-		)
-		switch name {
-		case "fig6":
-			series, err = Fig6(scale, seed)
-		case "fig7":
-			series, err = Fig7(scale, seed)
-		case "fig8":
-			series, err = Fig8(scale, seed)
-		default:
-			series, err = FigExa(scale, seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Trend matches series across archived records by entry name, so
-		// experiments sharing one history directory need distinct names
-		// (the chaos/gray convention). fig-exa gets a prefix; fig6 keeps
-		// its legacy bare names, pinned by the committed baselines.
-		prefix := ""
-		if name == "fig-exa" {
-			prefix = "fig-exa/"
-		}
-		for _, p := range series.Points {
-			e := sweepEntry(p, series.Config.Overlap)
-			e.Name = prefix + e.Name
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "trajectory":
-		points, err := trajectoryRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			for _, strategy := range []string{"two-phase", "memory-conscious"} {
-				res := pt.Results[strategy]
-				e := costEntry(fmt.Sprintf("t=%.2f/%s", pt.T, strategy), res, pt.Overlap)
-				e.Metrics["mem_per_core_bytes"] = float64(pt.MemPerCore)
-				rec.Entries = append(rec.Entries, e)
-			}
-		}
-	case "faults":
-		points, err := faultSweepRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			e := costEntry(fmt.Sprintf("rate=%g/%s", pt.Rate, pt.Strategy), &pt.Res.CostResult, pt.Overlap)
-			// Recovery the trace cannot see (detection stalls, reboot
-			// waits) tops up the blame; totals keep summing to wall time.
-			topUpRecovery(e.Blame, pt.Res.RecoverySeconds)
-			e.Metrics["failovers"] = float64(pt.Res.Failovers)
-			e.Metrics["stalls"] = float64(pt.Res.Stalls)
-			e.Metrics["replayed_rounds"] = float64(pt.Res.ReplayedRounds)
-			e.Metrics["recovery_seconds"] = pt.Res.RecoverySeconds
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "fig-exa-faults":
-		points, err := figExaFaultsRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			e := costEntry(fmt.Sprintf("fig-exa-faults/crash=%g,strag=%g,sev=%g/%s",
-				pt.Cell.Crash, pt.Cell.Frac, pt.Cell.Sev, pt.Strategy), &pt.Res.CostResult, pt.Overlap)
-			topUpRecovery(e.Blame, pt.Res.RecoverySeconds)
-			e.Metrics["failovers"] = float64(pt.Res.Failovers)
-			e.Metrics["stalls"] = float64(pt.Res.Stalls)
-			e.Metrics["replayed_rounds"] = float64(pt.Res.ReplayedRounds)
-			e.Metrics["recovery_seconds"] = pt.Res.RecoverySeconds
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "chaos":
-		// The chaos campaigns execute real byte-level collectives —
-		// checksums, hedges, repairs — so there is nothing the analytical
-		// engine could price; reject the override instead of silently
-		// ignoring it.
-		if e := currentEngineOverride(); e != "" && e != EngineBytes {
-			return nil, fmt.Errorf("bench %s: campaign executes byte-level collectives and cannot run on engine %q; use -engine %s or drop the flag",
-				name, e, EngineBytes)
-		}
-		rep, err := Chaos(ChaosConfig{Seed: seed, Ops: chaosLedgerOps, Rate: 2, Repair: true})
-		if err != nil {
-			return nil, err
-		}
-		rec.Params["ops"] = strconv.Itoa(chaosLedgerOps)
-		rec.Params["rate"] = "2"
-		rec.Params["repair"] = "true"
-		rec.Entries = append(rec.Entries, chaosEntries(rep)...)
-	case "chaos-gray":
-		if e := currentEngineOverride(); e != "" && e != EngineBytes {
-			return nil, fmt.Errorf("bench %s: campaign executes byte-level collectives and cannot run on engine %q; use -engine %s or drop the flag",
-				name, e, EngineBytes)
-		}
-		rep, err := Gray(GrayConfig{Seed: seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
-		if err != nil {
-			return nil, err
-		}
-		rec.Params["ops"] = strconv.Itoa(grayLedgerOps)
-		rec.Params["rate"] = "2"
-		rec.Params["repair"] = "true"
-		rec.Entries = append(rec.Entries, grayEntries(rep)...)
-	default:
-		return nil, cliutil.UnknownChoice("experiment", name, LedgerExperiments)
+	if err := e.Ledger(rec, Args{Scale: scale, Seed: seed, Engine: engine}); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
@@ -157,13 +53,13 @@ func Ledger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
 // host clock, captures allocator telemetry around it via
 // runtime.ReadMemStats, and stamps the record with the host metadata
 // the perf-history archive keys on. Ledger itself stays a pure function
-// of (name, scale, seed) — the parallel byte-identity tests rely on
-// that — so everything nondeterministic lives here.
-func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
+// of its arguments — the parallel byte-identity tests rely on that — so
+// everything nondeterministic lives here.
+func StampedLedger(name string, scale int64, seed uint64, engine string) (*obs.RunRecord, error) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	rec, err := Ledger(name, scale, seed)
+	rec, err := Ledger(name, scale, seed, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -192,6 +88,98 @@ func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error
 		})
 	}
 	return rec, nil
+}
+
+// sweepLedger is the ledger of a bandwidth sweep: one entry per point.
+// Trend matches series across archived records by entry name, so
+// experiments sharing one history directory need distinct names (the
+// chaos/gray convention): fig-exa passes a prefix, while fig6-8 keep
+// their legacy bare names, pinned by the committed baselines.
+func sweepLedger(fig figureFunc, prefix string) func(*obs.RunRecord, Args) error {
+	return func(rec *obs.RunRecord, a Args) error {
+		series, err := runFigure(fig, a)
+		if err != nil {
+			return err
+		}
+		for _, p := range series.Points {
+			e := sweepEntry(p, series.Config.Overlap)
+			e.Name = prefix + e.Name
+			rec.Entries = append(rec.Entries, e)
+		}
+		return nil
+	}
+}
+
+// trajectoryLedger records both strategies at every Table 1 design
+// point.
+func trajectoryLedger(rec *obs.RunRecord, a Args) error {
+	points, err := trajectoryRun(a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		for _, strategy := range []string{"two-phase", "memory-conscious"} {
+			res := pt.Results[strategy]
+			e := costEntry(fmt.Sprintf("t=%.2f/%s", pt.T, strategy), res, pt.Overlap)
+			e.Metrics["mem_per_core_bytes"] = float64(pt.MemPerCore)
+			rec.Entries = append(rec.Entries, e)
+		}
+	}
+	return nil
+}
+
+// faultsLedger records every (rate, strategy) cell of the resilience
+// sweep.
+func faultsLedger(rec *obs.RunRecord, a Args) error {
+	points, err := faultSweepRun(a.Scale, a.Seed, a.Engine)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("rate=%g/%s", pt.Rate, pt.Strategy), pt.Res, pt.Overlap))
+	}
+	return nil
+}
+
+// exaFaultsLedger records every cell of the exascale fault grid.
+func exaFaultsLedger(rec *obs.RunRecord, a Args) error {
+	cfg := FigExaFaultsConfig(a.Scale, a.Seed)
+	cfg.Engine = a.Engine
+	points, err := figExaFaultsRunCfg(cfg)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("fig-exa-faults/crash=%g,strag=%g,sev=%g/%s",
+			pt.Cell.Crash, pt.Cell.Frac, pt.Cell.Sev, pt.Strategy), pt.Res, pt.Overlap))
+	}
+	return nil
+}
+
+// chaosLedger records the corruption soak's counters.
+func chaosLedger(rec *obs.RunRecord, a Args) error {
+	rep, err := Chaos(ChaosConfig{Seed: a.Seed, Ops: chaosLedgerOps, Rate: 2, Repair: true})
+	if err != nil {
+		return err
+	}
+	rec.Params["ops"] = strconv.Itoa(chaosLedgerOps)
+	rec.Params["rate"] = "2"
+	rec.Params["repair"] = "true"
+	rec.Entries = append(rec.Entries, chaosEntries(rep)...)
+	return nil
+}
+
+// grayLedger records the gray-failure campaign's counters.
+func grayLedger(rec *obs.RunRecord, a Args) error {
+	rep, err := Gray(GrayConfig{Seed: a.Seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
+	if err != nil {
+		return err
+	}
+	rec.Params["ops"] = strconv.Itoa(grayLedgerOps)
+	rec.Params["rate"] = "2"
+	rec.Params["repair"] = "true"
+	rec.Entries = append(rec.Entries, grayEntries(rep)...)
+	return nil
 }
 
 // chaosEntries converts a chaos-campaign report into metrics-only
@@ -290,6 +278,19 @@ func costEntry(name string, res *collio.CostResult, overlap bool) obs.RunEntry {
 		}
 		e.Blame = map[string]float64(b)
 	}
+	return e
+}
+
+// faultEntry is costEntry for a faulted run, plus the recovery counts.
+// Recovery the trace cannot see (detection stalls, reboot waits) tops
+// up the blame; totals keep summing to wall time.
+func faultEntry(name string, res *collio.FaultResult, overlap bool) obs.RunEntry {
+	e := costEntry(name, &res.CostResult, overlap)
+	topUpRecovery(e.Blame, res.RecoverySeconds)
+	e.Metrics["failovers"] = float64(res.Failovers)
+	e.Metrics["stalls"] = float64(res.Stalls)
+	e.Metrics["replayed_rounds"] = float64(res.ReplayedRounds)
+	e.Metrics["recovery_seconds"] = res.RecoverySeconds
 	return e
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLedgerFig7(t *testing.T) {
-	rec, err := Ledger("fig7", testScale, 1)
+	rec, err := Ledger("fig7", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestLedgerTrajectoryAndFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trajectory+faults ledger is slow")
 	}
-	rec, err := Ledger("trajectory", testScale, 1)
+	rec, err := Ledger("trajectory", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLedgerTrajectoryAndFaults(t *testing.T) {
 	}
 	// Seed 5 keeps a live relocation host at every fault rate (seed 1
 	// wipes out every candidate at rate 4, a legitimate planner error).
-	frec, err := Ledger("faults", testScale, 5)
+	frec, err := Ledger("faults", testScale, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLedgerTrajectoryAndFaults(t *testing.T) {
 // metrics-only entries (detection counts, repair bytes, degradation
 // rungs) flow through the trend analyzer unchanged.
 func TestLedgerChaos(t *testing.T) {
-	rec, err := Ledger("chaos", testScale, 1)
+	rec, err := Ledger("chaos", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLedgerChaos(t *testing.T) {
 		}
 	}
 	// Deterministic: same seed, same record.
-	again, err := Ledger("chaos", testScale, 1)
+	again, err := Ledger("chaos", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestLedgerChaos(t *testing.T) {
 }
 
 func TestStampedLedgerProvenance(t *testing.T) {
-	rec, err := StampedLedger("fig7", testScale, 1)
+	rec, err := StampedLedger("fig7", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,17 +145,17 @@ func TestStampedLedgerProvenance(t *testing.T) {
 }
 
 func TestLedgerUnknownExperiment(t *testing.T) {
-	if _, err := Ledger("fig99", testScale, 1); err == nil {
+	if _, err := Ledger("fig99", testScale, 1, ""); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
 }
 
 func TestLedgerDeterministicAndDiffClean(t *testing.T) {
-	a, err := Ledger("fig7", testScale, 1)
+	a, err := Ledger("fig7", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Ledger("fig7", testScale, 1)
+	b, err := Ledger("fig7", testScale, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

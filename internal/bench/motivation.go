@@ -7,7 +7,6 @@ import (
 	"mcio/internal/core"
 	"mcio/internal/forwarding"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 	"mcio/internal/workload"
 )
@@ -28,12 +27,6 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			"block/rank", "independent", "io-forwarding", "two-phase", "memory-conscious", "collective gain",
 		},
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
 	opt := sim.DefaultOptions()
 	// Finer interleaving = more, smaller noncontiguous pieces per rank.
 	for _, blockKB := range []int64{64, 256, 1024, 4096} {
@@ -52,7 +45,7 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := cfg.context(cfg.scaled(16*MB), zs, w.TotalBytes())
+		ctx, err := cfg.context(16, w.TotalBytes())
 		if err != nil {
 			return nil, err
 		}

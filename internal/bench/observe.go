@@ -5,20 +5,13 @@ import (
 	"sort"
 	"strings"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/obs"
 	"mcio/internal/obs/analyze"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
-
-// ObserveFigures lists the figure workloads Observe can instrument, in
-// display order — the single source of truth for the `mcio observe`
-// usage text and the unknown-figure error.
-var ObserveFigures = []string{"fig6", "fig7", "fig8"}
 
 // ObserveResult is one instrumented run of a figure workload: both
 // strategies planned and priced with a shared Observer collecting metrics
@@ -28,13 +21,14 @@ type ObserveResult struct {
 	Summary string
 }
 
-// Observe runs one sweep point of a figure's workload (fig6, fig7 or
-// fig8) under full observability: both strategies plan against the same
-// machine state, the cost engine prices them with round tracing on, and
-// every layer (planner, sim engine, memory model) reports into a fresh
-// Observer. The returned observer holds the metrics snapshot and the
-// Chrome-traceable spans; the summary prints round counts, elapsed
-// simulated time and the per-round bottleneck tally for each strategy.
+// Observe runs one sweep point of a figure's workload (an ObserveCmd
+// entry: fig6, fig7 or fig8) under full observability: both strategies
+// plan against the same machine state, the cost engine prices them with
+// round tracing on, and every layer (planner, sim engine, memory model)
+// reports into a fresh Observer. The returned observer holds the metrics
+// snapshot and the Chrome-traceable spans; the summary prints round
+// counts, elapsed simulated time and the per-round bottleneck tally for
+// each strategy.
 //
 // memMB is the paper-scale mean memory per aggregator; 0 picks 16 MB, a
 // point where the baseline pages and the memory-conscious strategy
@@ -43,40 +37,20 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 	if memMB <= 0 {
 		memMB = 16
 	}
-	var (
-		cfg  Config
-		wl   Workload
-		name string
-		err  error
-	)
-	switch figure {
-	case "fig6":
-		cfg = Fig6Config(scale, seed)
-		wl, name, err = Fig6Workload(cfg)
-		if err != nil {
-			return nil, err
-		}
-	case "fig7":
-		cfg = Fig7Config(scale, seed)
-		wl, name = Fig7Workload(cfg)
-	case "fig8":
-		cfg = Fig8Config(scale, seed)
-		wl, name = Fig8Workload(cfg)
-	default:
-		return nil, cliutil.UnknownChoice("figure", figure, ObserveFigures)
+	e, err := ObserveCmd.Lookup(figure)
+	if err != nil {
+		return nil, err
+	}
+	cfg, wl, name, err := e.Figure(scale, seed)
+	if err != nil {
+		return nil, err
 	}
 	cfg.MemMB = []int{memMB}
 	reqs, err := wl.Requests()
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(memMB, wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}

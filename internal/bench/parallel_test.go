@@ -49,7 +49,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 func TestParallelLedgerByteIdentical(t *testing.T) {
 	defer SetParallelism(0)
 	marshal := func() []byte {
-		rec, err := Ledger("fig6", testScale, 42)
+		rec, err := Ledger("fig6", testScale, 42, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +75,12 @@ func TestParallelFaultSweepIdentical(t *testing.T) {
 	}
 	defer SetParallelism(0)
 	SetParallelism(1)
-	want, err := faultSweepRun(testScale, 42)
+	want, err := faultSweepRun(testScale, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetParallelism(4)
-	got, err := faultSweepRun(testScale, 42)
+	got, err := faultSweepRun(testScale, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
-
-// ProfileExperiments lists every `mcio profile` experiment, in display
-// order — the single source of truth for the subcommand's usage text
-// and its unknown-experiment error.
-var ProfileExperiments = []string{"fig6", "fig7", "fig8", "gray"}
 
 // ProfileResult is one time-resolved profiling run: the recorder
 // holding every utilization series and journal event, the saturation
@@ -26,8 +19,8 @@ type ProfileResult struct {
 	Summary string
 }
 
-// Profile runs one experiment with a timeline recorder attached and
-// analyzes the result. The figure experiments (fig6, fig7, fig8) price
+// Profile runs one ProfileCmd experiment with a timeline recorder
+// attached and analyzes the result. The figure experiments price
 // the memory-conscious strategy on the figure's workload — one clean
 // run, profiled down to per-OST, per-NIC and per-node utilization.
 // "gray" runs the pinned gray-failure duel instead: the recorder
@@ -39,19 +32,14 @@ type ProfileResult struct {
 // arguments always produce a byte-identical recorder, so reports
 // built from it diff clean across reruns.
 func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tick float64) (*ProfileResult, error) {
+	e, err := ProfileCmd.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
 	rec := timeline.NewRecorder(tick, 0)
 	var summary strings.Builder
-	switch name {
-	case "fig6", "fig7", "fig8":
-		if err := profileFigure(rec, name, scale, seed, memMB, op, &summary); err != nil {
-			return nil, err
-		}
-	case "gray":
-		if err := profileGray(rec, &summary); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, cliutil.UnknownChoice("experiment", name, ProfileExperiments)
+	if err := e.Profile(rec, &summary, Args{Scale: scale, Seed: seed, MemMB: memMB, Op: op}); err != nil {
+		return nil, err
 	}
 	sat := timeline.Analyze(rec, timeline.SatOptions{})
 	summary.WriteString(sat.Render())
@@ -73,43 +61,21 @@ func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tic
 // workload with the recorder attached. Only one strategy runs: a
 // timeline is a per-run artifact, and the memory-conscious run is the
 // one whose saturation behavior the paper's placement reasons about.
-func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint64,
-	memMB int, op collio.Op, summary *strings.Builder) error {
+func profileFigure(rec *timeline.Recorder, summary *strings.Builder, figure string, fig figureFunc, a Args) error {
+	memMB := a.MemMB
 	if memMB <= 0 {
 		memMB = 16
 	}
-	var (
-		cfg  Config
-		wl   Workload
-		name string
-		err  error
-	)
-	switch figure {
-	case "fig6":
-		cfg = Fig6Config(scale, seed)
-		wl, name, err = Fig6Workload(cfg)
-		if err != nil {
-			return err
-		}
-	case "fig7":
-		cfg = Fig7Config(scale, seed)
-		wl, name = Fig7Workload(cfg)
-	default:
-		cfg = Fig8Config(scale, seed)
-		wl, name = Fig8Workload(cfg)
+	cfg, wl, name, err := fig(a.Scale, a.Seed)
+	if err != nil {
+		return err
 	}
 	cfg.MemMB = []int{memMB}
 	reqs, err := wl.Requests()
 	if err != nil {
 		return err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(memMB, wl.TotalBytes())
 	if err != nil {
 		return err
 	}
@@ -122,11 +88,11 @@ func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint
 	if err != nil {
 		return err
 	}
-	res, err := collio.Cost(ctx, plan, reqs, op, opt)
+	res, err := collio.Cost(ctx, plan, reqs, a.Op, opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(summary, "profile %s: %s, %s, %d MB per aggregator\n", figure, name, op, memMB)
+	fmt.Fprintf(summary, "profile %s: %s, %s, %d MB per aggregator\n", figure, name, a.Op, memMB)
 	fmt.Fprintf(summary, "%s: %d domains, %.4fs simulated (%.1f MB/s)\n",
 		s.Name(), len(plan.Domains), res.Seconds,
 		float64(wl.TotalBytes())/res.Seconds/1e6)
@@ -137,7 +103,7 @@ func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint
 // the adaptive run. Duel violations surface in the summary rather than
 // as errors — a profile of a failing duel is more useful than no
 // profile.
-func profileGray(rec *timeline.Recorder, summary *strings.Builder) error {
+func profileGray(rec *timeline.Recorder, summary *strings.Builder, _ Args) error {
 	rep := &GrayReport{}
 	fail := func(op int, format string, args ...any) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))

@@ -7,7 +7,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -23,13 +22,7 @@ func RoundTrace(scale int64, seed uint64, memMB int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
-	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(memMB, wl.TotalBytes())
 	if err != nil {
 		return "", err
 	}
