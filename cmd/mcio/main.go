@@ -574,43 +574,60 @@ func main() {
 			return
 		}
 	}
-	exp := flag.String("exp", "all", cliutil.ChoiceFlagUsage("experiment", bench.ExpCmd.Names()))
-	scale := flag.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
-	seed := flag.Uint64("seed", 42, "seed for the availability variance")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent experiments and sweep cells; 1 = exact serial legacy path (results are scheduling-invariant either way)")
-	details := flag.Bool("details", false, "print per-point aggregator details for figures")
-	jsonPath := flag.String("json", "", "also save figure results as JSON to this path (fig6/fig7/fig8)")
-	flag.Parse()
+	if err := runExp(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mcio:", err)
+		os.Exit(1)
+	}
+}
+
+// runExp is `mcio -exp`: render one registry experiment, or all of them,
+// to out.
+func runExp(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	figures := bench.ObserveCmd.Names()
+	exp := fs.String("exp", "all", cliutil.ChoiceFlagUsage("experiment", bench.ExpCmd.Names()))
+	scale := fs.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
+	seed := fs.Uint64("seed", 42, "seed for the availability variance")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent experiments and sweep cells; 1 = exact serial legacy path (results are scheduling-invariant either way)")
+	details := fs.Bool("details", false, "print per-point aggregator details for figures")
+	jsonPath := fs.String("json", "", "also save the figure's results as JSON to this path (-exp "+strings.Join(figures, ", ")+")")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	bench.SetParallelism(*parallel)
 
 	exps := bench.ExpCmd.Entries()
 	if *exp != "all" {
 		e, err := bench.ExpCmd.Lookup(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcio:", err)
-			os.Exit(1)
+			return err
 		}
 		exps = []*bench.Experiment{e}
 	}
-	args := bench.Args{Scale: *scale, Seed: *seed, Details: *details, JSONPath: *jsonPath}
-	// Experiments render into a writer, not straight to stdout, so `-exp
+	// Each figure saves its own sweep to the -json path, so the path
+	// takes exactly one figure.
+	if *jsonPath != "" && (len(exps) != 1 || exps[0].Figure == nil) {
+		return fmt.Errorf("-json saves one figure's results; use it with -exp %s", strings.Join(figures, ", "))
+	}
+	a := bench.Args{Scale: *scale, Seed: *seed, Details: *details, JSONPath: *jsonPath}
+	// Experiments render into a writer, not straight to out, so `-exp
 	// all` can fan whole experiments across the worker pool and still
 	// print them in the fixed order — byte-identical to the serial run.
 	outs := make([]string, len(exps))
 	errs := make([]error, len(exps))
 	bench.ForEach(len(exps), func(i int) error {
 		var b strings.Builder
-		errs[i] = exps[i].Text(&b, args)
+		errs[i] = exps[i].Text(&b, a)
 		outs[i] = b.String()
 		return errs[i]
 	})
 	for i := range exps {
 		// Output computed before the first error still prints, as in the
-		// serial run; the first error (by experiment order) then exits.
-		os.Stdout.WriteString(outs[i])
+		// serial run; the first error (by experiment order) then returns.
+		io.WriteString(out, outs[i])
 		if errs[i] != nil {
-			fmt.Fprintln(os.Stderr, "mcio:", errs[i])
-			os.Exit(1)
+			return errs[i]
 		}
 	}
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -410,5 +411,46 @@ func TestObserveFlameSumsToWall(t *testing.T) {
 		if math.Abs(float64(got)-want) > float64(lineCount[name])+1 {
 			t.Errorf("process %s: flame total %d µs, wall %.3f µs — off beyond rounding", p.Name, got, want)
 		}
+	}
+}
+
+// TestExpJSONTakesOneFigure checks that -json is refused unless -exp
+// selects exactly one figure: each figure saves its own sweep to the
+// path, so a wider selection would leave only whichever finished last.
+// The refusal names every figure and runs nothing.
+func TestExpJSONTakesOneFigure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	for _, exp := range []string{"all", "table1"} {
+		var out bytes.Buffer
+		err := runExp([]string{"-exp", exp, "-scale", strconv.Itoa(testScale), "-json", path}, &out)
+		if err == nil {
+			t.Fatalf("-exp %s -json: accepted", exp)
+		}
+		for _, fig := range []string{"fig6", "fig7", "fig8"} {
+			if !strings.Contains(err.Error(), fig) {
+				t.Errorf("-exp %s -json: error %q does not name %s", exp, err, fig)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp %s -json: ran before refusing:\n%s", exp, out.String())
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Fatalf("-exp %s -json: wrote %s", exp, path)
+		}
+	}
+
+	var out bytes.Buffer
+	if err := runExp([]string{"-exp", "fig7", "-scale", strconv.Itoa(testScale), "-json", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var s struct {
+		Points []json.RawMessage `json:"points"`
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &s); err != nil || len(s.Points) == 0 {
+		t.Fatalf("-exp fig7 -json: saved %d points (err %v)", len(s.Points), err)
 	}
 }

@@ -72,13 +72,14 @@ func StampedLedger(name string, scale int64, seed uint64, engine string) (*obs.R
 		TotalAllocBytes: after.TotalAlloc - before.TotalAlloc,
 		PeakHeapBytes:   after.HeapSys,
 	}
-	// fig-exa exists to prove the fast path's speed, so its ledger also
-	// carries the host-side cost of producing it as a metrics-only entry:
-	// the trend gate drift-checks metrics series over history, turning a
-	// fast-path slowdown or allocation regression into a flagged series.
-	// (Metrics do not feed the step-regression diff, so cross-machine
-	// wall-clock noise cannot fail the baseline gate.)
-	if name == "fig-exa" || name == "fig-exa-faults" {
+	// The experiments that price on the fast engine by default exist to
+	// prove its speed, so their ledgers also carry the host-side cost of
+	// producing them as a metrics-only entry: the trend gate drift-checks
+	// metrics series over history, turning a fast-path slowdown or
+	// allocation regression into a flagged series. (Metrics do not feed
+	// the step-regression diff, so cross-machine wall-clock noise cannot
+	// fail the baseline gate.)
+	if e, _ := BenchCmd.Lookup(name); e.Engines[0] == EngineFast {
 		rec.Entries = append(rec.Entries, obs.RunEntry{
 			Name: name + "/harness",
 			Metrics: map[string]float64{

@@ -96,11 +96,12 @@ type MemDecayHandler interface {
 // per-OST circuit breakers under the retry ladder, and hedged
 // re-requests for straggling shuffle messages. A nil ad gets
 // NewAdaptive defaults. Deterministic like every cost path: same plan,
-// schedule, handler and policy — same result.
+// schedule, handler and policy — same result. A nil or empty injector
+// is the clean run: it equals Cost and leaves ad untouched.
 func CostAdaptive(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler, ad *Adaptive) (*FaultResult, error) {
 	if ad == nil {
 		ad = NewAdaptive()
 	}
-	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, ad, false)
+	return price(ctx, plan, reqs, nil, false, op, opt, inj, handler, ad)
 }

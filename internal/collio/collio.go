@@ -29,6 +29,7 @@ import (
 	"mcio/internal/obs"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/pfs"
+	"mcio/internal/sim"
 )
 
 // Op is the direction of a collective operation.
@@ -301,6 +302,18 @@ func (c *Context) Validate() error {
 			c.Topo.Nodes(), len(c.Avail))
 	}
 	return nil
+}
+
+// StorageParams is the storage model the pricing engine charges the
+// context's file system with.
+func (c *Context) StorageParams() sim.StorageParams {
+	return sim.StorageParams{
+		Targets:         c.FS.Targets,
+		TargetBW:        c.FS.TargetBW,
+		ReqOverhead:     c.FS.ReqOverhead,
+		NoncontigFactor: c.FS.NoncontigFactor,
+		ReadBWFactor:    c.FS.ReadBWFactor,
+	}
 }
 
 // Domain is one file domain: a set of file extents serviced by exactly one

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"mcio/internal/obs"
-	"mcio/internal/pfs"
 	"mcio/internal/sim"
 	"mcio/internal/stats"
 )
@@ -106,19 +105,12 @@ func (co *costObs) shuffle(dom, src, dst int, bytes int64) {
 // newCostEngine builds the engine that prices one operation on plan —
 // storage model, observer, aggregator placements and, when ctx.Timeline
 // is set, the timeline with its plan-time buffer gauges — and returns
-// it with the trace process of the plan's strategy. Every pricing entry
-// point, on either engine, starts here.
+// it with the trace process of the plan's strategy.
 func newCostEngine(ctx *Context, plan *Plan, op Op, opt sim.Options) (*sim.Engine, int, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, 0, err
 	}
-	eng, err := sim.NewEngine(ctx.Machine, sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}, opt)
+	eng, err := sim.NewEngine(ctx.Machine, ctx.StorageParams(), opt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -189,9 +181,9 @@ func costResult(ctx *Context, plan *Plan, op Op, opt sim.Options, eng *sim.Engin
 // baseline has one group spanning all ranks, so this is the global
 // request exchange of classic two-phase I/O; the memory-conscious
 // strategy confines it to each group.
-func metaRound(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) sim.Round {
+func metaRound(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) []sim.AggMessage {
 	listBytes, aggsByGroup := metaInputs(ctx, plan, reqs)
-	meta := sim.Round{Kind: sim.RoundMetadata}
+	var msgs []sim.AggMessage
 	for g, ranks := range plan.GroupRanks {
 		aggs := aggsByGroup[g]
 		for _, r := range ranks {
@@ -200,91 +192,29 @@ func metaRound(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) sim.Ro
 				continue
 			}
 			for _, a := range aggs {
-				meta.Messages = append(meta.Messages, sim.Message{
+				msgs = append(msgs, sim.AggMessage{
 					SrcNode: ctx.Topo.NodeOf(r),
 					DstNode: ctx.Topo.NodeOf(a),
 					Bytes:   bytes,
+					Count:   1,
 				})
 				co.transfer(r, a, bytes)
 			}
 		}
 	}
-	return meta
+	return msgs
 }
 
 // Cost prices plan against the context's machine and storage models
-// without moving any data. The same plan and requests always produce the
-// same result.
+// without moving any data, on the byte engine: every contributing rank
+// sends its own shuffle message. The same plan and requests always
+// produce the same result.
 func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
-	eng, pid, err := newCostEngine(ctx, plan, op, opt)
+	res, err := price(ctx, plan, reqs, nil, false, op, opt, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	co := newCostObs(ctx, plan, op)
-	if meta := metaRound(ctx, plan, reqs, co); len(meta.Messages) > 0 {
-		eng.RunRound(meta)
-	}
-
-	// Per-domain, per-rank contribution bytes, distributed evenly over the
-	// domain's rounds (the shuffle volume is exact, the per-round split
-	// is the even approximation).
-	contribs := domainContribs(ctx, plan.Domains, reqs)
-	maxRounds := 0
-	for _, d := range plan.Domains {
-		maxRounds = max(maxRounds, d.Rounds())
-	}
-
-	// The engine does not retain a Round's slices past RunRound, so one
-	// Round's backing arrays, the slice scratch and the stripe mapper are
-	// recycled across the whole loop.
-	var round sim.Round
-	var slice []pfs.Extent
-	mapper := ctx.FS.NewMapper()
-	for k := 0; k < maxRounds; k++ {
-		round.Messages = round.Messages[:0]
-		round.IOOps = round.IOOps[:0]
-		for i, d := range plan.Domains {
-			rounds := d.Rounds()
-			if k >= rounds {
-				continue
-			}
-			// Shuffle phase: contributions to/from the aggregator.
-			for _, c := range contribs[i] {
-				per := evenShare(c.bytes, k, rounds)
-				if per == 0 {
-					continue
-				}
-				m := sim.Message{SrcNode: c.node, DstNode: d.AggNode, Bytes: per}
-				if op == Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-					co.shuffle(i, d.Aggregator, c.rank, per)
-				} else {
-					co.shuffle(i, c.rank, d.Aggregator, per)
-				}
-				round.Messages = append(round.Messages, m)
-			}
-			// I/O phase: this round's slice of the domain through the
-			// collective buffer. Slices are staggered cyclically across
-			// domains: aggregators do not run in lockstep on a real
-			// machine, and without the stagger, stripe-cycle-aligned
-			// domains would hit the same storage target in every round —
-			// an artificial convoy the global-round pricing would
-			// otherwise create.
-			slice = pfs.SliceDataAppend(slice[:0], d.Extents, int64((k+i)%rounds)*d.BufferBytes, d.BufferBytes)
-			for _, acc := range mapper.Map(slice) {
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:     acc.Target,
-					Node:       d.AggNode,
-					Bytes:      acc.Bytes,
-					Requests:   acc.Requests,
-					Contiguous: acc.Contiguous,
-					Write:      op == Write,
-				})
-			}
-		}
-		eng.RunRound(round)
-	}
-	return costResult(ctx, plan, op, opt, eng, pid, maxRounds, ""), nil
+	return &res.CostResult, nil
 }
 
 // String renders the result in one line for experiment logs.

@@ -2,6 +2,7 @@ package collio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcio/internal/faults"
@@ -162,40 +163,40 @@ func (p *Plan) Compact() *Plan {
 
 // CostWithFaults prices plan like Cost, but with a fault injector
 // advancing in simulated time and a FaultHandler deciding where the
-// work of crashed or collapsed hosts goes. With a nil or empty injector
-// it delegates to Cost, so the result is byte-identical to the
-// fault-free path. The same plan, injector schedule and handler always
-// produce the same result — faulted runs are as reproducible as clean
-// ones. It runs the byte engine: every contributor is walked per rank,
-// so the per-rank mpi.* and per-domain collio.shuffle_bytes counters
-// are emitted.
+// work of crashed or collapsed hosts goes. A nil or empty injector is
+// the clean run, so the result is byte-identical to Cost's. The same
+// plan, injector schedule and handler always produce the same result —
+// faulted runs are as reproducible as clean ones. It runs the byte
+// engine: every contributor is walked per rank, so the per-rank mpi.*
+// and per-domain collio.shuffle_bytes counters are emitted.
 func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil, false)
+	return price(ctx, plan, reqs, nil, false, op, opt, inj, handler, nil)
 }
 
 // CostWithFaultsBundled is CostWithFaults on the analytical fast path,
 // bit-identical to it: the same loop, with healthy traffic bundled per
-// node (see costFaulted). With a nil or empty injector it delegates to
-// BuildShape and CostShape. fastsim.CostWithFaults is its public face.
+// node (see price). With a nil or empty injector it prices from
+// BuildShape's round structure, as CostShape does.
+// fastsim.CostWithFaults is its public face.
 func CostWithFaultsBundled(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil, true)
+	return price(ctx, plan, reqs, nil, true, op, opt, inj, handler, nil)
 }
 
-// costFaulted is the one faulted pricing loop behind CostWithFaults and
-// CostAdaptive (the byte engine, bundle false) and CostWithFaultsBundled
-// (the fast engine, bundle true). ad == nil is the static retry-only
-// policy; ad != nil adds health observation, circuit breakers, hedging
-// and proactive failover. Fault *pricing* — including the gray kinds —
-// is identical either way; only the response policy differs. Adaptive
-// runs are byte-engine-only: hedging feeds a delay window whose
-// contents depend on message order.
+// price is the one pricing loop. Every cost entry point runs it: Cost
+// and CostWithFaults (the byte engine), CostShape and
+// CostWithFaultsBundled (the fast engine) and CostAdaptive. It prices
+// the metadata exchange, then one data round per iteration: each active
+// work item — one per domain with rounds, plus the successors recovery
+// folds create — shuffles its round's share of the contributions and
+// stores its round's staggered buffer slice.
 //
-// The engines differ only in how they emit shuffle and recovery
-// messages. The byte engine sends one message per contributing rank.
-// The fast engine prices the same rounds bit-identically with far
-// fewer messages:
+// The engine is chosen by bundle. The byte engine (bundle false) walks
+// every contributor per rank, one message each, and feeds the per-rank
+// mpi.* and per-domain collio.shuffle_bytes counters. The fast engine
+// (bundle true) prices the same rounds bit-identically with far fewer
+// messages:
 //
 //   - Engine round pricing reduces messages to commutative per-node
 //     integer loads, so healthy traffic aggregates freely: one
@@ -213,74 +214,99 @@ func CostWithFaultsBundled(ctx *Context, plan *Plan, reqs []RankRequest, op Op, 
 //   - Every contributor of one folded item ships the same recovery
 //     payload, so consecutive same-route recovery messages bundle.
 //
-// Everything else — storage accesses, retry ladders, replay, refolds,
-// slowdowns, leak decay — is shared, so identical per-round costs keep
-// the engine clock identical and fault windows open and close on the
-// same boundaries.
-func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler, ad *Adaptive, bundle bool) (*FaultResult, error) {
+// A nil or empty injector is a clean run, and a clean run does no fault
+// work: no per-round node, target or leak updates, no injector or
+// adaptive calls, no copy of the domain set, no faults.* counters, and
+// ad is left untouched. A clean fast-engine run prices from the round
+// structure sh (built from reqs when nil): it never folds, so its items
+// carry the Shape's per-node aggregates and no per-rank lists.
+//
+// With an injector, fault events apply at round boundaries through
+// handler, and ad == nil is the static retry-only policy; ad != nil
+// adds health observation, circuit breakers, hedging and proactive
+// failover. Fault *pricing* — including the gray kinds — is identical
+// either way; only the response policy differs. Adaptive runs are
+// byte-engine-only: hedging feeds a delay window whose contents depend
+// on message order. Everything but message emission — storage
+// accesses, retry ladders, replay, refolds, slowdowns, leak decay — is
+// shared by the engines, so identical per-round costs keep the engine
+// clock identical and fault windows open and close on the same
+// boundaries.
+func price(ctx *Context, plan *Plan, reqs []RankRequest, sh *Shape, bundle bool, op Op, opt sim.Options,
+	inj *faults.Injector, handler FaultHandler, ad *Adaptive) (*FaultResult, error) {
 	if inj.Empty() {
-		var res *CostResult
+		inj, ad = nil, nil
+	} else if handler == nil {
+		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
+	}
+	if bundle && inj == nil && sh == nil {
 		var err error
-		if bundle {
-			var sh *Shape
-			if sh, err = BuildShape(ctx, plan, reqs); err == nil {
-				res, err = CostShape(ctx, plan, sh, op, opt)
-			}
-		} else {
-			res, err = Cost(ctx, plan, reqs, op, opt)
-		}
-		if err != nil {
+		if sh, err = BuildShape(ctx, plan, reqs); err != nil {
 			return nil, err
 		}
-		return &FaultResult{CostResult: *res, Injected: map[string]int{}}, nil
-	}
-	if handler == nil {
-		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
 	eng, pid, err := newCostEngine(ctx, plan, op, opt)
 	if err != nil {
 		return nil, err
 	}
-	inj.SetObserver(ctx.Obs)
-	tlr := ctx.Timeline
-
-	// Metadata exchange, identical to the engine's clean pricing.
-	var co *costObs
-	if bundle {
-		if xs, _ := buildMetaExchanges(ctx, plan, reqs); len(xs) > 0 {
-			eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: xs})
-		}
-	} else {
-		co = newCostObs(ctx, plan, op)
-		if meta := metaRound(ctx, plan, reqs, co); len(meta.Messages) > 0 {
-			eng.RunRound(meta)
-		}
+	if inj != nil {
+		inj.SetObserver(ctx.Obs)
 	}
 
-	// Live domain set (placements mutate on recovery) and work items.
-	live := append([]Domain(nil), plan.Domains...)
-	items, totalRounds := faultItems(ctx, live, reqs)
+	// Metadata exchange and the initial work items: per-rank
+	// contributors, except on a clean fast run, which takes the Shape's
+	// per-node aggregates.
+	var co *costObs
+	var contribs [][]rankContrib
+	meta := sim.AggRound{Kind: sim.RoundMetadata}
+	switch {
+	case sh != nil:
+		meta.Exchanges = sh.MetaExchanges
+	case bundle:
+		meta.Exchanges = buildMetaExchanges(ctx, plan, reqs)
+		contribs = domainContribs(ctx, plan.Domains, reqs)
+	default:
+		co = newCostObs(ctx, plan, op)
+		meta.Messages = metaRound(ctx, plan, reqs, co)
+		contribs = domainContribs(ctx, plan.Domains, reqs)
+	}
+	if len(meta.Messages)+len(meta.Exchanges) > 0 {
+		eng.RunAggRound(meta)
+	}
+	items, totalRounds := faultItems(plan.Domains, contribs, sh)
 
 	res := &FaultResult{}
-	spec := inj.Spec()
+	tlr := ctx.Timeline
 	nodes := ctx.Topo.Nodes()
-	if ad != nil {
-		ad.init(spec)
-		ad.Detector.SetObserver(ctx.Obs)
-		ad.Breakers.SetObserver(ctx.Obs)
-	}
+	live := plan.Domains
+	var spec faults.Spec
 	// leakFrac tracks the largest MemLeak fraction already applied per
 	// node; leakSev the paging severity that decay produced (kept apart
 	// from nodeSeverity so adaptive observation can attribute it).
-	leakFrac := make([]float64, nodes)
-	leakSev := make([]float64, nodes)
 	// nodeSeverity tracks the worst paging severity declared per node so
-	// recoveries never accidentally lower another domain's penalty.
-	nodeSeverity := make([]float64, nodes)
-	for _, d := range live {
-		if d.PagedSeverity > nodeSeverity[d.AggNode] {
-			nodeSeverity[d.AggNode] = d.PagedSeverity
+	// recoveries never accidentally lower another domain's penalty. hot
+	// is the fast engine's hot-node mask.
+	var leakFrac, leakSev, nodeSeverity []float64
+	var hot []bool
+	if inj != nil {
+		// Recovery re-places domains: a faulted run works on a copy.
+		live = append([]Domain(nil), plan.Domains...)
+		spec = inj.Spec()
+		if ad != nil {
+			ad.init(spec)
+			ad.Detector.SetObserver(ctx.Obs)
+			ad.Breakers.SetObserver(ctx.Obs)
+		}
+		leakFrac = make([]float64, nodes)
+		leakSev = make([]float64, nodes)
+		nodeSeverity = make([]float64, nodes)
+		for _, d := range live {
+			if d.PagedSeverity > nodeSeverity[d.AggNode] {
+				nodeSeverity[d.AggNode] = d.PagedSeverity
+			}
+		}
+		if bundle {
+			hot = make([]bool, nodes)
 		}
 	}
 
@@ -423,17 +449,11 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		return len(ras), nil
 	}
 
-	// Main loop: one data round per iteration, fault events applied at
-	// round boundaries. The guard bounds pathological refold cascades;
-	// a correct handler converges far below it.
-	guard := 16*(totalRounds+1) + 1024
-	executed := 0
-	hot := make([]bool, nodes)
-	var round sim.AggRound
-	var slice []pfs.Extent
-	mapper := ctx.FS.NewMapper()
-	for {
-		now := eng.Elapsed()
+	// atBoundary applies the fault state of the round boundary at now:
+	// due fault events, straggler and gray-fault slowdowns, leak decay
+	// and, with ad, the adaptive policy's observations and proactive
+	// moves.
+	atBoundary := func(now float64) error {
 		for _, ev := range inj.Advance(now) {
 			if tlr != nil {
 				// The event's own schedule time, not the round boundary
@@ -444,7 +464,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				continue
 			}
 			if _, err := handleHostEvent(ev, false); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for n := 0; n < nodes; n++ {
@@ -531,7 +551,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 					ev := faults.Event{Kind: faults.Straggler, Time: now, Node: n, Severity: 1}
 					moved, err := handleHostEvent(ev, true)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					// A declined move (handler found no live host to take
 					// the work) counts as nothing: the node keeps its
@@ -542,50 +562,194 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				}
 			}
 		}
+		return nil
+	}
 
-		anyActive := false
-		for _, it := range items {
-			if it.active() {
-				anyActive = true
-				break
+	// The engine does not retain a round's slices past RunAggRound, so
+	// one round's backing arrays, the slice scratch and the stripe mapper
+	// are recycled across the whole loop.
+	var round sim.AggRound
+	var slice []pfs.Extent
+	var now, extraLat float64
+	mapper := ctx.FS.NewMapper()
+
+	// shuffleFaults prices the message faults of one walked shuffle
+	// message m leaving a hot node: delay windows (hedged under ad),
+	// drops, flaky-NIC drops and bit flips, each resent message moving
+	// its bytes again.
+	shuffleFaults := func(m sim.AggMessage) {
+		delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now)
+		if delay > 0 {
+			charged := delay
+			if ad != nil {
+				if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
+					// Hedge the straggler: at the quantile deadline a
+					// duplicate re-request goes out and the first arrival
+					// wins. The duplicate's bytes move on the wire but the
+					// checksum path discards the loser, so they never
+					// reach user accounting.
+					charged = dl
+					round.Messages = append(round.Messages, m)
+					res.HedgedMessages++
+					res.HedgedBytes += m.Bytes
+					res.DedupedBytes += m.Bytes
+					if tlr != nil {
+						tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
+							fmt.Sprintf("%d bytes re-requested", m.Bytes))
+					}
+				}
+			}
+			extraLat += charged
+			res.DelayedMessages++
+		}
+		if ad != nil {
+			ad.window.Add(delay)
+		}
+		if inj.TakeDrop(m.SrcNode) {
+			// Lost and resent after the drop timeout: the bytes move
+			// twice and the round absorbs the timeout.
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.DroppedMessages++
+		}
+		if inj.TakeNICDrop(m.SrcNode, now) {
+			// A flaky-NIC burst drop, priced like any other drop.
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.DroppedMessages++
+			res.FlakyDrops++
+		}
+		if inj.TakeMsgFlip(m.SrcNode) {
+			// Silently corrupted: end-to-end verification detects the
+			// flip and re-requests the chunk, so the bytes move twice and
+			// the round absorbs the detect+resend round-trip (priced like
+			// a drop timeout).
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.CorruptedMessages++
+			if tlr != nil {
+				tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
+					fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
 			}
 		}
-		if !anyActive {
+	}
+
+	// storageFaults prices the faults of one storage access: the retry
+	// ladder and degraded service of the target's error windows, torn
+	// writes and, with ad, the target's circuit breaker. The same
+	// accesses in the same order on both engines drive the same
+	// per-target state.
+	bw := ctx.FS.TargetBW
+	if op == Read && ctx.FS.ReadBWFactor > 0 {
+		bw *= ctx.FS.ReadBWFactor
+	}
+	storageFaults := func(io *sim.IOOp) {
+		fastFail := false
+		if ad != nil {
+			// Allow may move the breaker Open -> HalfOpen at the probe
+			// deadline; the state diff journals it.
+			before := ad.Breakers.State(io.Target)
+			fastFail = !ad.Breakers.Allow(io.Target, now)
+			tlBreakerEvent(tlr, before, ad.Breakers.State(io.Target), io.Target, now)
+		}
+		var retries int
+		var delay float64
+		if fastFail {
+			// Open breaker: fail fast into degraded service. The access
+			// skips the retry ladder entirely and pays only the degraded
+			// streaming factor — the whole point of the breaker is not
+			// paying the full backoff walk per access against a target
+			// known to be sick.
+			delay = float64(io.Bytes) / bw * (max(spec.DegradedFactor, 1) - 1)
+		} else {
+			var degraded bool
+			retries, delay, degraded = inj.OSTPenalty(io.Target, now)
+			if degraded {
+				delay += float64(io.Bytes) / bw * (spec.DegradedFactor - 1)
+			}
+			res.StorageRetries += retries
+			if ad != nil {
+				before := ad.Breakers.State(io.Target)
+				if retries > 0 {
+					ad.Breakers.OnFailure(io.Target, now)
+				} else if !inj.OSTWindowActive(io.Target, now) &&
+					!(ad.Detector != nil && ad.Detector.Suspected("ost", io.Target)) {
+					// A clean access only votes "healthy" when the
+					// detector agrees — a suspected-slow target must not
+					// have its breaker failure count washed out by
+					// accesses that merely completed (slowly).
+					ad.Breakers.OnSuccess(io.Target, now)
+				}
+				tlBreakerEvent(tlr, before, ad.Breakers.State(io.Target), io.Target, now)
+			}
+		}
+		torn := 0
+		if op == Write && inj.TakeTornWrite(io.Target) {
+			// A torn object write is caught by the read-back verify and
+			// re-issued: one extra request on the target.
+			torn = 1
+			res.TornWrites++
+			if tlr != nil {
+				tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", io.Target),
+					"torn write re-issued")
+			}
+		}
+		io.Requests += retries + torn
+		io.DelaySeconds = delay
+		io.Degraded = fastFail
+	}
+
+	// Main loop: one data round per iteration, fault events applied at
+	// round boundaries. Finished items are dropped as the loop goes, so
+	// each round walks only the active ones. The guard bounds
+	// pathological refold cascades; a correct handler converges far
+	// below it.
+	guard := 16*(totalRounds+1) + 1024
+	executed := 0
+	for {
+		now = eng.Elapsed()
+		if inj != nil {
+			if err := atBoundary(now); err != nil {
+				return nil, err
+			}
+		}
+		items = slices.DeleteFunc(items, func(it *faultItem) bool { return !it.active() })
+		if len(items) == 0 {
 			break
 		}
 
 		// Hot nodes carry message-level fault state this round: a live
 		// delay window, pending drop/flip budgets, or an active flaky-NIC
-		// drop cadence. On the byte engine every node is walked as if
-		// hot. Events only apply at round boundaries, so a node healthy
-		// here stays query-inert all round.
-		for n := 0; n < nodes; n++ {
-			hot[n] = !bundle || inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now) > 0 ||
-				inj.PendingDrops(n) > 0 || inj.PendingFlips(n) > 0 ||
-				inj.NICDropActive(n, now)
+		// drop cadence. Events only apply at round boundaries, so a node
+		// healthy here stays query-inert all round.
+		if hot != nil {
+			for n := 0; n < nodes; n++ {
+				hot[n] = inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now) > 0 ||
+					inj.PendingDrops(n) > 0 || inj.PendingFlips(n) > 0 ||
+					inj.NICDropActive(n, now)
+			}
 		}
 
 		round.Messages = round.Messages[:0]
 		round.IOOps = round.IOOps[:0]
-		var extraLat float64
+		extraLat = 0
 		for _, it := range items {
-			if !it.active() {
-				continue
-			}
-			d := live[it.domain]
+			d := &live[it.domain]
 			s := it.done
-			// An item walks its contributors when any of its messages'
-			// source node is hot: the aggregator node on reads (every
-			// message originates there), any contributing node on writes.
-			// The byte engine always walks; the fast engine bundles every
-			// message it does not walk.
+			// An item walks its contributors per rank on the byte engine.
+			// The fast engine walks only when one of its messages' source
+			// node is hot — the aggregator node on reads (every message
+			// originates there), any contributing node on writes — and
+			// bundles every message it does not walk.
 			walk := !bundle
 			var aggs []NodeContrib
 			if bundle {
 				aggs = it.nodeContribs()
-				if op == Read {
+				switch {
+				case hot == nil:
+				case op == Read:
 					walk = hot[d.AggNode]
-				} else {
+				default:
 					for i := range aggs {
 						if hot[aggs[i].Node] {
 							walk = true
@@ -602,73 +766,22 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 						m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
 						srcRank, dstRank = dstRank, srcRank
 					}
-					if !hot[m.SrcNode] {
+					if hot != nil && !hot[m.SrcNode] {
 						continue
 					}
 					if m.Bytes = evenShare(c.bytes, s, it.rounds); m.Bytes == 0 {
 						continue
 					}
 					co.shuffle(it.domain, srcRank, dstRank, m.Bytes)
-					delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now)
-					if delay > 0 {
-						charged := delay
-						if ad != nil {
-							if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
-								// Hedge the straggler: at the quantile deadline a
-								// duplicate re-request goes out and the first
-								// arrival wins. The duplicate's bytes move on the
-								// wire but the checksum path discards the loser,
-								// so they never reach user accounting.
-								charged = dl
-								round.Messages = append(round.Messages, m)
-								res.HedgedMessages++
-								res.HedgedBytes += m.Bytes
-								res.DedupedBytes += m.Bytes
-								if tlr != nil {
-									tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
-										fmt.Sprintf("%d bytes re-requested", m.Bytes))
-								}
-							}
-						}
-						extraLat += charged
-						res.DelayedMessages++
-					}
-					if ad != nil {
-						ad.window.Add(delay)
-					}
-					if inj.TakeDrop(m.SrcNode) {
-						// Lost and resent after the drop timeout: the bytes
-						// move twice and the round absorbs the timeout.
-						round.Messages = append(round.Messages, m)
-						extraLat += spec.DropTimeoutSeconds
-						res.DroppedMessages++
-					}
-					if inj.TakeNICDrop(m.SrcNode, now) {
-						// A flaky-NIC burst drop, priced like any other drop.
-						round.Messages = append(round.Messages, m)
-						extraLat += spec.DropTimeoutSeconds
-						res.DroppedMessages++
-						res.FlakyDrops++
-					}
-					if inj.TakeMsgFlip(m.SrcNode) {
-						// Silently corrupted: end-to-end verification detects
-						// the flip and re-requests the chunk, so the bytes move
-						// twice and the round absorbs the detect+resend
-						// round-trip (priced like a drop timeout).
-						round.Messages = append(round.Messages, m)
-						extraLat += spec.DropTimeoutSeconds
-						res.CorruptedMessages++
-						if tlr != nil {
-							tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
-								fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
-						}
+					if inj != nil {
+						shuffleFaults(m)
 					}
 					round.Messages = append(round.Messages, m)
 				}
 			}
 			for i := range aggs {
 				nc := &aggs[i]
-				if op == Read && walk || op == Write && hot[nc.Node] {
+				if walk && (op == Read || hot[nc.Node]) {
 					continue
 				}
 				bytes, msgs := nc.RoundShare(s)
@@ -682,75 +795,28 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				round.Messages = append(round.Messages, m)
 			}
 
-			// Storage: the same accesses in the same order on both engines
-			// drive the same per-target retry-ladder and torn-write state.
+			// Storage: this round's slice of the item through the
+			// collective buffer. Slices are staggered cyclically across
+			// domains: aggregators do not run in lockstep on a real
+			// machine, and without the stagger, stripe-cycle-aligned
+			// domains would hit the same storage target in every round —
+			// an artificial convoy the global-round pricing would
+			// otherwise create.
 			idx := (s + it.rot) % it.rounds
 			slice = pfs.SliceDataAppend(slice[:0], it.base, int64(idx)*it.buf, it.buf)
 			for _, acc := range mapper.Map(slice) {
-				fastFail := false
-				if ad != nil {
-					// Allow may move the breaker Open -> HalfOpen at the
-					// probe deadline; the state diff journals it.
-					before := ad.Breakers.State(acc.Target)
-					fastFail = !ad.Breakers.Allow(acc.Target, now)
-					tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
+				io := sim.IOOp{
+					Target:     acc.Target,
+					Node:       d.AggNode,
+					Bytes:      acc.Bytes,
+					Requests:   acc.Requests,
+					Contiguous: acc.Contiguous,
+					Write:      op == Write,
 				}
-				bw := ctx.FS.TargetBW
-				if op == Read && ctx.FS.ReadBWFactor > 0 {
-					bw *= ctx.FS.ReadBWFactor
+				if inj != nil {
+					storageFaults(&io)
 				}
-				var retries int
-				var delay float64
-				if fastFail {
-					// Open breaker: fail fast into degraded service. The
-					// access skips the retry ladder entirely and pays only
-					// the degraded streaming factor — the whole point of
-					// the breaker is not paying the full backoff walk per
-					// access against a target known to be sick.
-					delay = float64(acc.Bytes) / bw * (max(spec.DegradedFactor, 1) - 1)
-				} else {
-					var degraded bool
-					retries, delay, degraded = inj.OSTPenalty(acc.Target, now)
-					if degraded {
-						delay += float64(acc.Bytes) / bw * (spec.DegradedFactor - 1)
-					}
-					res.StorageRetries += retries
-					if ad != nil {
-						before := ad.Breakers.State(acc.Target)
-						if retries > 0 {
-							ad.Breakers.OnFailure(acc.Target, now)
-						} else if !inj.OSTWindowActive(acc.Target, now) &&
-							!(ad.Detector != nil && ad.Detector.Suspected("ost", acc.Target)) {
-							// A clean access only votes "healthy" when the
-							// detector agrees — a suspected-slow target must
-							// not have its breaker failure count washed out
-							// by accesses that merely completed (slowly).
-							ad.Breakers.OnSuccess(acc.Target, now)
-						}
-						tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
-					}
-				}
-				torn := 0
-				if op == Write && inj.TakeTornWrite(acc.Target) {
-					// A torn object write is caught by the read-back verify
-					// and re-issued: one extra request on the target.
-					torn = 1
-					res.TornWrites++
-					if tlr != nil {
-						tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", acc.Target),
-							"torn write re-issued")
-					}
-				}
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:       acc.Target,
-					Node:         d.AggNode,
-					Bytes:        acc.Bytes,
-					Requests:     acc.Requests + retries + torn,
-					Contiguous:   acc.Contiguous,
-					Write:        op == Write,
-					DelaySeconds: delay,
-					Degraded:     fastFail,
-				})
+				round.IOOps = append(round.IOOps, io)
 			}
 			it.done++
 		}
@@ -764,6 +830,11 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		}
 	}
 
+	if inj == nil {
+		res.CostResult = *costResult(ctx, plan, op, opt, eng, pid, executed, "")
+		res.Injected = map[string]int{}
+		return res, nil
+	}
 	res.CostResult = *costResult(ctx, plan, op, opt, eng, pid, executed, " (faults)")
 	res.Injected = inj.Counts()
 	res.RecoverySeconds = res.Totals.RecoverySeconds

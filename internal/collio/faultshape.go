@@ -16,7 +16,7 @@ type rankContrib struct {
 	bytes int64
 }
 
-// faultItem is a unit of remaining shuffle+I/O work in the faulted cost
+// faultItem is a unit of remaining shuffle+I/O work in the pricing
 // loop. One item starts per plan domain; a recovery folds an item's
 // remaining work into a fresh item bound to the absorbing (or
 // re-placed) domain. Items reference live domains by index for
@@ -24,7 +24,8 @@ type rankContrib struct {
 // Both engines share the type: the byte engine walks contribs per rank
 // each round, the fast engine prices per-node aggregates (nodeContribs)
 // and falls back to the per-rank walk only where fault state demands
-// it.
+// it. Items of a clean fast-engine run alias the Shape's aggregates and
+// have no per-rank list; nothing writes through them.
 type faultItem struct {
 	domain   int // index into the live domain set; placement is read per round
 	base     []pfs.Extent
@@ -35,7 +36,7 @@ type faultItem struct {
 	rot      int // slice stagger rotation (domain index at creation)
 	contribs []rankContrib
 
-	nodes []NodeContrib // per-node aggregates, built on first nodeContribs call
+	nodes []NodeContrib // per-node aggregates, from the Shape or built on first nodeContribs call
 }
 
 // active reports whether the item still has rounds to run.
@@ -139,27 +140,38 @@ func buildNodeContribs(contribs []rankContrib, rounds int) []NodeContrib {
 	return sortedNodeContribs(byNode)
 }
 
-// faultItems builds the faulted loop's initial work: one item per
-// domain with at least one round, in domain order, each carrying the
-// domain's per-rank contributors. total sums every domain's rounds; the
-// loop's divergence guard keys on it.
-func faultItems(ctx *Context, domains []Domain, reqs []RankRequest) (items []*faultItem, total int) {
-	contribs := domainContribs(ctx, domains, reqs)
+// faultItems builds the pricing loop's initial work: one item per
+// domain with at least one round, in domain order. Each item carries
+// its domain's per-rank contributors from contribs or, when sh is
+// given, the Shape's per-node aggregates instead: a clean fast-engine
+// run never folds, so it never needs the per-rank list. total sums
+// every domain's rounds; the loop's divergence guard keys on it.
+func faultItems(domains []Domain, contribs [][]rankContrib, sh *Shape) (items []*faultItem, total int) {
+	// One backing array for every initial item; recovery successors are
+	// allocated one by one.
+	slab := make([]faultItem, len(domains))
+	items = make([]*faultItem, 0, len(domains))
 	for i, d := range domains {
 		rounds := d.Rounds()
 		total += rounds
 		if rounds == 0 {
 			continue
 		}
-		items = append(items, &faultItem{
-			domain:   i,
-			base:     d.Extents,
-			bytes:    d.Bytes,
-			buf:      d.BufferBytes,
-			rounds:   rounds,
-			rot:      i,
-			contribs: contribs[i],
-		})
+		it := &slab[i]
+		*it = faultItem{
+			domain: i,
+			base:   d.Extents,
+			bytes:  d.Bytes,
+			buf:    d.BufferBytes,
+			rounds: rounds,
+			rot:    i,
+		}
+		if sh != nil {
+			it.nodes = sh.Contribs[i]
+		} else {
+			it.contribs = contribs[i]
+		}
+		items = append(items, it)
 	}
 	return items, total
 }

@@ -60,14 +60,7 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 	if _, err := CheckRequests(ctx.Topo.Size(), reqs); err != nil {
 		return nil, err
 	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	eng, err := sim.NewEngine(ctx.Machine, ctx.StorageParams(), opt)
 	if err != nil {
 		return nil, err
 	}

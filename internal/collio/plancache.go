@@ -1,9 +1,7 @@
 package collio
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync"
 )
 
@@ -42,32 +40,45 @@ func ResetPlanCache() {
 	planCache.Unlock()
 }
 
-// planKey derives the cache key for one planning input.
+// planKey derives the cache key for one planning input. The topology,
+// availability and request words are folded into one 64-bit
+// fingerprint (fold); the key never leaves the process, so the hash
+// needs no fixed format.
 func planKey(s Strategy, ctx *Context, reqs []RankRequest) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	h := uint64(foldSeed)
 	for r := 0; r < ctx.Topo.Size(); r++ {
-		w(int64(ctx.Topo.NodeOf(r)))
+		h = fold(h, int64(ctx.Topo.NodeOf(r)))
 	}
-	w(int64(len(ctx.Avail)))
+	h = fold(h, int64(len(ctx.Avail)))
 	for _, a := range ctx.Avail {
-		w(a)
+		h = fold(h, a)
 	}
-	w(int64(len(reqs)))
+	h = fold(h, int64(len(reqs)))
 	for _, r := range reqs {
-		w(int64(r.Rank))
-		w(int64(len(r.Extents)))
+		h = fold(h, int64(r.Rank))
+		h = fold(h, int64(len(r.Extents)))
 		for _, e := range r.Extents {
-			w(e.Offset)
-			w(e.Length)
+			h = fold(h, e.Offset)
+			h = fold(h, e.Length)
 		}
 	}
 	return fmt.Sprintf("%T|%+v|%+v|%+v|%+v|%x",
-		s, s, ctx.Machine, ctx.FS, ctx.Params, h.Sum64())
+		s, s, ctx.Machine, ctx.FS, ctx.Params, h)
+}
+
+// foldSeed and foldMul are the fingerprint's starting state and its
+// odd multiplier (the 64-bit golden ratio).
+const (
+	foldSeed = 0xcbf29ce484222325
+	foldMul  = 0x9e3779b97f4a7c15
+)
+
+// fold mixes one word into the fingerprint h: xor it in, multiply, and
+// fold the high half back down so every input bit reaches every output
+// bit within a few words.
+func fold(h uint64, v int64) uint64 {
+	h = (h ^ uint64(v)) * foldMul
+	return h ^ h>>32
 }
 
 // CachedPlan returns s.Plan(ctx, reqs) with the plan validated against

@@ -9,16 +9,14 @@ import (
 
 // Shape is the round structure of a planned collective operation,
 // described without executing it: what the metadata exchange moves
-// between nodes, and what every data round shuffles and stores, as
-// aggregate per-route and per-node quantities. It is the plan-side half
-// of the analytical fast path (internal/fastsim): Cost derives the same
-// quantities implicitly by replaying one message per rank, Shape exposes
-// them in O(aggregators + contributing nodes) so an engine can price a
-// million-rank operation from a few thousand numbers.
+// between nodes, and what every domain shuffles, as aggregate per-route
+// and per-node quantities. Domain geometry (extents, buffer, rounds)
+// stays in the plan. It is the plan-side half of the analytical fast
+// path (internal/fastsim): the byte engine walks one message per rank,
+// Shape exposes the same quantities in O(aggregators + contributing
+// nodes), so the pricing loop can price a million-rank operation from a
+// few thousand numbers.
 type Shape struct {
-	// MaxRounds is the global round count: rounds are priced in lockstep
-	// across domains, and domain i is staggered by i buffer slots.
-	MaxRounds int
 	// MetaExchanges is the metadata scatter, one all-to-all exchange per
 	// group with aggregators and contributing members: each source node's
 	// extent-list bytes to each aggregator slot. The exchange form stays
@@ -26,33 +24,11 @@ type Shape struct {
 	// product (the whole machine squared, for the single-group two-phase
 	// baseline).
 	MetaExchanges []sim.Exchange
-	// MetaMessages is the number of point-to-point metadata messages the
-	// exchanges stand for (one per member rank per group aggregator).
-	MetaMessages int
-	// Domains holds one entry per plan domain, aligned with
-	// Plan.Domains.
-	Domains []DomainShape
-}
-
-// DomainShape is one file domain's round structure: its geometry plus
-// the per-node shuffle contributions, pre-split so any round's exact
-// share is a binary search away.
-type DomainShape struct {
-	// Index is the domain's position in Plan.Domains; the cyclic round
-	// stagger is keyed on it.
-	Index int
-	// Rounds is Domain.Rounds(): collective-buffer cycles to drain the
-	// domain.
-	Rounds int
-	// AggNode hosts the domain's aggregator.
-	AggNode int
-	// BufferBytes is the aggregator's collective buffer.
-	BufferBytes int64
-	// Extents aliases the domain's (normalized) data extents.
-	Extents []pfs.Extent
-	// Contribs lists the nodes shuffling data with the aggregator,
-	// ascending by node.
-	Contribs []NodeContrib
+	// Contribs holds one entry per plan domain, aligned with
+	// Plan.Domains: the nodes shuffling data with the domain's
+	// aggregator, ascending by node, pre-split so any round's exact share
+	// is a binary search away.
+	Contribs [][]NodeContrib
 }
 
 // NodeContrib aggregates one node's shuffle contributions to a domain
@@ -103,18 +79,6 @@ func (c *NodeContrib) add(bytes int64, rounds int) {
 	}
 }
 
-// RoundSlice returns the file extents the domain's aggregator drains in
-// round k: the staggered collective-buffer window the byte path uses.
-func (d *DomainShape) RoundSlice(k int) []pfs.Extent {
-	return d.RoundSliceAppend(nil, k)
-}
-
-// RoundSliceAppend is RoundSlice appending to a caller-owned slice, so a
-// pricing loop over every (domain, round) pair reuses one allocation.
-func (d *DomainShape) RoundSliceAppend(dst []pfs.Extent, k int) []pfs.Extent {
-	return pfs.SliceDataAppend(dst, d.Extents, int64((k+d.Index)%d.Rounds)*d.BufferBytes, d.BufferBytes)
-}
-
 // BuildShape derives the round structure of plan for the given requests.
 // The result is deterministic and self-contained: building it walks each
 // rank's request list once (metadata sizes and domain overlaps) and
@@ -123,25 +87,14 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	sh := &Shape{}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, reqs)
-	// Domain shapes: geometry plus per-node contribution aggregates.
-	sh.Domains = make([]DomainShape, len(plan.Domains))
+	sh := &Shape{MetaExchanges: buildMetaExchanges(ctx, plan, reqs)}
+	// Per-node contribution aggregates of every domain.
 	buckets := make([][]pfs.Extent, len(plan.Domains))
+	rounds := make([]int, len(plan.Domains))
 	contribs := make([]map[int]*NodeContrib, len(plan.Domains))
 	for i, d := range plan.Domains {
-		rd := d.Rounds()
-		if rd > sh.MaxRounds {
-			sh.MaxRounds = rd
-		}
-		sh.Domains[i] = DomainShape{
-			Index:       i,
-			Rounds:      rd,
-			AggNode:     d.AggNode,
-			BufferBytes: d.BufferBytes,
-			Extents:     d.Extents,
-		}
 		buckets[i] = d.Extents
+		rounds[i] = d.Rounds()
 		contribs[i] = map[int]*NodeContrib{}
 	}
 	if len(plan.Domains) > 0 {
@@ -159,70 +112,28 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 					nc = &NodeContrib{Node: node}
 					contribs[bb.Bucket][node] = nc
 				}
-				nc.add(bb.Bytes, sh.Domains[bb.Bucket].Rounds)
+				nc.add(bb.Bytes, rounds[bb.Bucket])
 			}
 		}
 	}
-	for i := range sh.Domains {
-		sh.Domains[i].Contribs = sortedNodeContribs(contribs[i])
+	sh.Contribs = make([][]NodeContrib, len(plan.Domains))
+	for i := range sh.Contribs {
+		sh.Contribs[i] = sortedNodeContribs(contribs[i])
 	}
 	return sh, nil
 }
 
-// CostShape prices plan from its round structure sh, the analytical
-// fast path's clean pricing: per domain and round, the node-aggregated
-// shuffle share plus the storage accesses of the round's staggered
-// buffer slice — the quantities Cost reduces its per-rank messages to,
-// so the result matches Cost field for field. The AggRound backing
-// arrays, the slice scratch and the stripe mapper are recycled across
-// the (domain, round) loop, so steady-state pricing allocates nothing
-// per round. fastsim.Sim.Cost is its public face.
+// CostShape prices plan from its round structure sh on the analytical
+// fast path: the pricing loop with no injector, bundling each round's
+// shuffle per (node, domain) pair from sh's aggregates. The result
+// matches Cost field for field. sh is only read, so one Shape prices
+// both directions. fastsim.Sim.Cost is its public face.
 func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
-	eng, pid, err := newCostEngine(ctx, plan, op, opt)
+	res, err := price(ctx, plan, nil, sh, true, op, opt, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(sh.MetaExchanges) > 0 {
-		eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: sh.MetaExchanges})
-	}
-	var round sim.AggRound
-	var slice []pfs.Extent
-	mapper := ctx.FS.NewMapper()
-	for k := 0; k < sh.MaxRounds; k++ {
-		round.Messages = round.Messages[:0]
-		round.IOOps = round.IOOps[:0]
-		for i := range sh.Domains {
-			d := &sh.Domains[i]
-			if k >= d.Rounds {
-				continue
-			}
-			for ci := range d.Contribs {
-				c := &d.Contribs[ci]
-				bytes, msgs := c.RoundShare(k)
-				if bytes == 0 {
-					continue
-				}
-				m := sim.AggMessage{SrcNode: c.Node, DstNode: d.AggNode, Bytes: bytes, Count: msgs}
-				if op == Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-				}
-				round.Messages = append(round.Messages, m)
-			}
-			slice = d.RoundSliceAppend(slice[:0], k)
-			for _, acc := range mapper.Map(slice) {
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:     acc.Target,
-					Node:       d.AggNode,
-					Bytes:      acc.Bytes,
-					Requests:   acc.Requests,
-					Contiguous: acc.Contiguous,
-					Write:      op == Write,
-				})
-			}
-		}
-		eng.RunAggRound(round)
-	}
-	return costResult(ctx, plan, op, opt, eng, pid, sh.MaxRounds, ""), nil
+	return &res.CostResult, nil
 }
 
 // metaInputs returns what the metadata exchange moves: each rank's
@@ -252,12 +163,10 @@ func metaInputs(ctx *Context, plan *Plan, reqs []RankRequest) (listBytes []int64
 // to each group aggregator. Ranks are folded per source node and
 // aggregators per destination node (duplicate aggregator ranks on one
 // node are slots, each counting, as on the byte path); the engine
-// prices the cross product in O(sources + destinations). Returns the
-// exchanges and the point-to-point message count they stand for.
-func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exchange, int) {
+// prices the cross product in O(sources + destinations).
+func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) []sim.Exchange {
 	listBytes, aggsByGroup := metaInputs(ctx, plan, reqs)
 	var exchanges []sim.Exchange
-	messages := 0
 	// Node-indexed fold scratch, shared by every group: touched lists the
 	// nodes a fold wrote, and collecting a fold zeroes exactly those.
 	srcAt := make([]sim.ExchangeSrc, ctx.Topo.Nodes())
@@ -269,7 +178,6 @@ func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exc
 			continue
 		}
 		touched = touched[:0]
-		srcRanks := 0
 		for _, r := range ranks {
 			bytes := listBytes[r]
 			if bytes == 0 {
@@ -283,7 +191,6 @@ func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exc
 			}
 			f.Bytes += bytes
 			f.Count++
-			srcRanks++
 		}
 		if len(touched) == 0 {
 			continue
@@ -309,9 +216,8 @@ func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exc
 			slotsAt[node] = 0
 		}
 		exchanges = append(exchanges, x)
-		messages += srcRanks * len(aggs)
 	}
-	return exchanges, messages
+	return exchanges
 }
 
 // sortInt64s sorts xs ascending.

@@ -6,21 +6,20 @@
 // of messages per round.
 //
 // Both engines consume the same pricing core (internal/sim/pricing)
-// through the same sim.Engine: the fast path feeds it per-route
-// aggregates via RunAggRound, the byte path per-rank messages. The
+// through the same sim.Engine's RunAggRound: the fast path feeds it
+// per-route aggregates, the byte path one message per rank. The
 // engine reduces messages to per-node byte loads before pricing either
 // way, and sim.Options.Validate admits only integral MemCopyFactor
 // values, so the two paths produce bit-identical seconds, totals and
 // traces — an invariant the cross-check tests (and the CI gate) enforce
 // on every fig6/fig7/fig8 cell.
 //
-// The pricing loops live in collio beside the byte engine's, sharing
-// engine setup, result assembly and — for faulted runs — the single
-// recovery loop; this package is the fast engine's entry point.
-// Differences from the byte path are observational only: the fast path
-// never walks every rank, so the per-rank mpi.* counters and the
-// per-domain collio.shuffle_bytes counters are not emitted. Engine-level
-// metrics, spans, traces and ctx.Timeline recording are identical.
+// Both engines run collio's one pricing loop, clean and faulted alike;
+// this package is the fast engine's entry point. Differences from the
+// byte path are observational only: the fast path never walks every
+// rank, so the per-rank mpi.* counters and the per-domain
+// collio.shuffle_bytes counters are not emitted. Engine-level metrics,
+// spans, traces and ctx.Timeline recording are identical.
 package fastsim
 
 import (
@@ -47,9 +46,6 @@ func New(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest) (*Si
 	}
 	return &Sim{ctx: ctx, plan: plan, shape: shape}, nil
 }
-
-// Shape exposes the derived round structure (for inspection and tests).
-func (s *Sim) Shape() *collio.Shape { return s.shape }
 
 // Cost prices the operation. The result mirrors collio.Cost field for
 // field: same engine, same per-round quantities, same accounting.

@@ -38,7 +38,9 @@ func testContext(t *testing.T, ranks, perNode, targets int, avail int64) *collio
 }
 
 // priceBoth prices the plan with both engines and fails the test on any
-// divergence in the full CostResult.
+// divergence in the full CostResult. One Sim prices write, read and
+// write again, and the two writes must agree: pricing only reads the
+// Shape both directions share.
 func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []collio.RankRequest, opt sim.Options) {
 	t.Helper()
 	plan, err := collio.CachedPlan(s, ctx, reqs)
@@ -49,7 +51,8 @@ func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []collio.Op{collio.Write, collio.Read} {
+	var firstWrite *collio.CostResult
+	for _, op := range []collio.Op{collio.Write, collio.Read, collio.Write} {
 		want, err := collio.Cost(ctx, plan, reqs, op, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -61,6 +64,15 @@ func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s %s: engines diverge\nfast: %+v\nbyte: %+v",
 				s.Name(), op, got, want)
+		}
+		if op != collio.Write {
+			continue
+		}
+		if firstWrite == nil {
+			firstWrite = got
+		} else if !reflect.DeepEqual(got, firstWrite) {
+			t.Fatalf("%s: repricing the write from the same Sim diverges\nfirst: %+v\nagain: %+v",
+				s.Name(), firstWrite, got)
 		}
 	}
 }

@@ -191,9 +191,10 @@ func TestFaultedEnginesMatchRandom(t *testing.T) {
 }
 
 // TestFaultedEmptyInjectorDelegates checks the inert paths: a nil or
-// event-free injector must reduce to the fault-free fast path (same
-// CostResult, empty Injected map), and a missing handler must be an
-// error, both exactly as on the byte path.
+// event-free injector must reduce to the clean run on either engine
+// (same CostResult as collio.Cost, empty Injected map), an adaptive run
+// without events must leave its policy untouched, and a missing handler
+// must be an error, both exactly as on the byte path.
 func TestFaultedEmptyInjectorDelegates(t *testing.T) {
 	ctx := testContext(t, 12, 4, 4, 16<<10)
 	reqs := make([]collio.RankRequest, 12)
@@ -222,6 +223,38 @@ func TestFaultedEmptyInjectorDelegates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.CostResult, *clean) || len(res.Injected) != 0 {
 		t.Fatalf("empty injector did not reduce to the clean run: %+v", res)
+	}
+
+	// A non-nil injector without events is the clean run too, on both
+	// engines and under the adaptive policy, which it must not touch.
+	noEvents, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := collio.NewAdaptive()
+	for name, engine := range map[string]faultedEngine{
+		"bytes": collio.CostWithFaults,
+		"fast":  CostWithFaults,
+		"adaptive": func(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, op collio.Op,
+			opt sim.Options, inj *faults.Injector, handler collio.FaultHandler) (*collio.FaultResult, error) {
+			return collio.CostAdaptive(ctx, plan, reqs, op, opt, inj, handler, ad)
+		},
+	} {
+		inj := faults.NewInjector(noEvents)
+		if !inj.Empty() {
+			t.Fatal("a rate-0 schedule generated events")
+		}
+		res, err := engine(ctx, plan, reqs, collio.Write, opt, inj, handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.CostResult, *clean) || len(res.Injected) != 0 {
+			t.Fatalf("%s: event-free injector did not reduce to the clean run: %+v", name, res)
+		}
+	}
+	if n := ad.Detector.Transitions() + ad.Breakers.Opens() + ad.Breakers.FastFails(); n != 0 || ad.HedgeQuantile != 0 {
+		t.Fatalf("event-free adaptive run touched its policy: %d transitions, opens and fast-fails, hedge quantile %g",
+			n, ad.HedgeQuantile)
 	}
 
 	fplan, err := faults.DefaultSpec(1, 10).WithRate(4).Generate(ctx.Topo.Nodes(), ctx.FS.Targets)

@@ -60,14 +60,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 		return nil, fmt.Errorf("forwarding: machine has %d nodes, need %d compute + %d forwarders",
 			ctx.Machine.Nodes, computeNodes, fcfg.Forwarders)
 	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	eng, err := sim.NewEngine(ctx.Machine, ctx.StorageParams(), opt)
 	if err != nil {
 		return nil, err
 	}
